@@ -1207,7 +1207,7 @@ pub mod faults {
 /// transport must be invisible to the protocol before any figure is
 /// reported.
 pub mod sockets {
-    use std::io::{self, Read, Write};
+    use std::io::{self, Write};
     use std::net::TcpStream;
     use std::time::{Duration, Instant};
 
@@ -1365,18 +1365,17 @@ pub mod sockets {
 
         /// Reads everything available and returns the completed frames.
         fn drain_in(&mut self) -> io::Result<Vec<Vec<u8>>> {
-            let mut buf = [0u8; 16 * 1024];
             loop {
-                match self.stream.read(&mut buf) {
+                match self.asm.read_from(&mut self.stream) {
                     Ok(0) => break,
-                    Ok(n) => self.asm.push(&buf[..n]),
+                    Ok(_) => {}
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                     Err(e) => return Err(e),
                 }
             }
             let mut frames = Vec::new();
             while let Some(f) = self.asm.next_frame().expect("server frames are clean") {
-                frames.push(f);
+                frames.push(f.to_vec());
             }
             Ok(frames)
         }
@@ -1624,17 +1623,16 @@ pub mod sockets {
         let mut settles = 0;
         while socket_replies.len() < mirror_replies.len() {
             net.poll(1).expect("poll");
-            let mut buf = [0u8; 16 * 1024];
             loop {
-                match stream.read(&mut buf) {
+                match asm.read_from(&mut stream) {
                     Ok(0) => panic!("server hung up mid-verification"),
-                    Ok(n) => asm.push(&buf[..n]),
+                    Ok(_) => {}
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                     Err(e) => panic!("read: {e}"),
                 }
             }
             while let Some(f) = asm.next_frame().expect("clean frames") {
-                socket_replies.push(f);
+                socket_replies.push(f.to_vec());
             }
             settles += 1;
             assert!(settles < 10_000, "replies never arrived");

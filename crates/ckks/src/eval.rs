@@ -126,12 +126,31 @@ impl<'a> Evaluator<'a> {
     /// operands disagree.
     pub fn add(&self, a: &Ciphertext, b: &Ciphertext) -> Result<Ciphertext, CkksError> {
         self.check_pair(a, b)?;
-        let (longer, shorter) = if a.size() >= b.size() { (a, b) } else { (b, a) };
-        let mut polys = longer.polys.clone();
-        for (dst, src) in polys.iter_mut().zip(&shorter.polys) {
+        let mut out = a.clone();
+        self.add_assign(&mut out, b)?;
+        Ok(out)
+    }
+
+    /// In-place [`Evaluator::add`]: `a += b`, reusing `a`'s storage —
+    /// the serving path's `Add` on an owned operand, where the clone
+    /// [`Evaluator::add`] makes is pure overhead. The result is
+    /// bit-identical to `add(a, b)`: residue addition commutes, and
+    /// components only `b` has are appended as they are.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Evaluator::add`]; a level or scale mismatch leaves `a`
+    /// untouched, a basis mismatch between components may leave it
+    /// partially summed.
+    pub fn add_assign(&self, a: &mut Ciphertext, b: &Ciphertext) -> Result<(), CkksError> {
+        self.check_pair(a, b)?;
+        for (dst, src) in a.polys.iter_mut().zip(&b.polys) {
             dst.add_assign_with(src, self.exec.as_ref())?;
         }
-        Ciphertext::from_parts(polys, a.level, a.scale)
+        if let Some(extra) = b.polys.get(a.polys.len()..) {
+            a.polys.extend_from_slice(extra);
+        }
+        Ok(())
     }
 
     /// Component-wise difference (`a - b`).
@@ -309,7 +328,7 @@ impl<'a> Evaluator<'a> {
         })?;
         let mut acc = first.clone();
         for ct in rest {
-            acc = self.add(&acc, ct)?;
+            self.add_assign(&mut acc, ct)?;
         }
         Ok(acc)
     }

@@ -92,12 +92,45 @@ impl Writer<'_> {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
+    /// A `u64` count followed by the words, little-endian. The words go
+    /// out in one bulk pass over a pre-sized tail, not one
+    /// capacity-checked push per word.
     fn words(&mut self, words: &[u64]) {
         self.u64(words.len() as u64);
-        for &w in words {
-            self.u64(w);
+        let start = self.buf.len();
+        self.buf.resize(start + 8 * words.len(), 0);
+        if let Some(tail) = self.buf.get_mut(start..) {
+            for (out, w) in tail.chunks_exact_mut(8).zip(words) {
+                out.copy_from_slice(&w.to_le_bytes());
+            }
         }
     }
+}
+
+/// Decodes little-endian words from `bytes` (a whole number of words)
+/// onto the end of `out`.
+fn decode_words(bytes: &[u8], out: &mut Vec<u64>) {
+    out.extend(
+        bytes
+            .chunks_exact(8)
+            .map(|c| c.try_into().map_or(0, u64::from_le_bytes)),
+    );
+}
+
+/// [`decode_words`] for one limb, checking canonicity in the same pass;
+/// `false` if any word is `>= p`. The check is branch-free so the loop
+/// vectorizes: `p < 2^62` (a [`Modulus`] invariant), so a word is
+/// canonical iff its top two bits are clear and `p - 1 - w` does not go
+/// negative.
+fn decode_limb(bytes: &[u8], p: &Modulus, out: &mut Vec<u64>) -> bool {
+    let last = p.value() - 1;
+    let mut over = 0u64;
+    out.extend(bytes.chunks_exact(8).map(|c| {
+        let w = c.try_into().map_or(0, u64::from_le_bytes);
+        over |= (w >> 62) | (last.wrapping_sub(w) >> 63);
+        w
+    }));
+    over == 0
 }
 
 /// A bounds-checked little-endian reader.
@@ -175,10 +208,9 @@ impl<'a> Reader<'a> {
         if n > (self.buf.len() - self.pos) / 8 {
             return Err(Self::error("length field exceeds remaining bytes"));
         }
+        let bytes = self.take(8 * n)?;
         let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.u64()?);
-        }
+        decode_words(bytes, &mut out);
         Ok(out)
     }
 
@@ -213,27 +245,11 @@ fn write_poly(w: &mut Writer, poly: &RnsPoly) {
     w.words(poly.data());
 }
 
+/// Owned polynomial decoding: the borrowed view, materialized. Keys,
+/// plaintexts and seeded ciphertexts share the ciphertext path's bulk
+/// decode-and-check loop ([`PolyView::to_poly`]).
 fn read_poly(r: &mut Reader) -> Result<RnsPoly, CkksError> {
-    let n = r.u64()? as usize;
-    let repr = match r.u8()? {
-        0 => Representation::Coefficient,
-        1 => Representation::Ntt,
-        _ => return Err(Reader::error("bad representation tag")),
-    };
-    let moduli_vals = r.words()?;
-    let moduli: Result<Vec<Modulus>, _> = moduli_vals.iter().map(|&p| Modulus::new(p)).collect();
-    let moduli = moduli?;
-    let data = r.words()?;
-    // Residues must be canonical (< modulus).
-    for (i, m) in moduli.iter().enumerate() {
-        let chunk = data
-            .get(i * n..(i + 1) * n)
-            .ok_or_else(|| Reader::error("data shorter than moduli require"))?;
-        if chunk.iter().any(|&c| c >= m.value()) {
-            return Err(Reader::error("non-canonical residue"));
-        }
-    }
-    Ok(RnsPoly::from_data(n, &moduli, data, repr)?)
+    read_poly_view(r)?.to_poly()
 }
 
 /// Serializes a plaintext.
@@ -284,6 +300,13 @@ pub fn serialize_ciphertext(ct: &Ciphertext) -> Vec<u8> {
 /// instead of allocating per message.
 pub fn serialize_ciphertext_into(ct: &Ciphertext, buf: &mut Vec<u8>) {
     buf.clear();
+    serialize_ciphertext_append(ct, buf);
+}
+
+/// [`serialize_ciphertext`] appended to whatever `buf` already holds, so
+/// a framing layer can write its header first and the ciphertext
+/// straight after it, in one buffer and one pass.
+pub fn serialize_ciphertext_append(ct: &Ciphertext, buf: &mut Vec<u8>) {
     let mut w = Writer { buf };
     w.header(Tag::Ciphertext);
     w.u64(ct.level() as u64);
@@ -423,26 +446,20 @@ impl PolyView<'_> {
 
     /// Materializes the view into an owned [`RnsPoly`], validating residue
     /// canonicity in the same single pass that copies the words — the only
-    /// full traversal of the limb data on the receive path.
+    /// full traversal of the limb data on the receive path. Each limb is
+    /// decoded and checked in one bulk, branch-free loop.
     ///
     /// # Errors
     ///
     /// [`CkksError::InvalidParameters`] on a non-canonical residue.
     pub fn to_poly(&self) -> Result<RnsPoly, CkksError> {
         let mut data = Vec::with_capacity(self.moduli.len() * self.n);
-        let mut limbs = self.words.chunks_exact(8);
-        for m in &self.moduli {
-            let bound = m.value();
-            for _ in 0..self.n {
-                let w = limbs
-                    .next()
-                    .and_then(|c| c.try_into().ok())
-                    .map(u64::from_le_bytes)
-                    .ok_or_else(|| Reader::error("truncated"))?;
-                if w >= bound {
-                    return Err(Reader::error("non-canonical residue"));
-                }
-                data.push(w);
+        // `max(1)`: a degree-0 view has no words, and a zero chunk size
+        // is not a chunking.
+        let limbs = self.words.chunks_exact(8 * self.n.max(1));
+        for (m, limb) in self.moduli.iter().zip(limbs) {
+            if !decode_limb(limb, m, &mut data) {
+                return Err(Reader::error("non-canonical residue"));
             }
         }
         Ok(RnsPoly::from_data(self.n, &self.moduli, data, self.repr)?)

@@ -6,9 +6,10 @@ use heax_ckks::{
     CkksContext, CkksEncoder, CkksParams, Decryptor, Encryptor, Evaluator, GaloisKeys, PublicKey,
     RelinKey, SecretKey,
 };
+use heax_math::poly::{Representation, RnsPoly};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 fn ctx() -> CkksContext {
     let chain = heax_math::primes::generate_prime_chain(&[40, 40, 40, 41], 64).unwrap();
@@ -353,5 +354,102 @@ mod backend_equivalence {
             let lin_par = par.rescale(&par.relinearize(&prod_par, &rlk).unwrap()).unwrap();
             prop_assert_eq!(&lin_seq, &lin_par, "relin+rescale diverged at k={}", k);
         }
+    }
+}
+
+/// The ciphertext wire layout written one little-endian word at a
+/// time: the reference the bulk serializer must match byte for byte.
+fn reference_ciphertext_bytes(ct: &heax_ckks::Ciphertext) -> Vec<u8> {
+    let word = |out: &mut Vec<u8>, w: u64| out.extend_from_slice(&w.to_le_bytes());
+    let mut out = b"HEAX".to_vec();
+    out.push(1); // format version
+    out.push(3); // ciphertext tag
+    word(&mut out, ct.level() as u64);
+    out.extend_from_slice(&ct.scale().to_le_bytes());
+    word(&mut out, ct.size() as u64);
+    for c in ct.components() {
+        word(&mut out, c.n() as u64);
+        out.push(match c.representation() {
+            Representation::Coefficient => 0,
+            Representation::Ntt => 1,
+        });
+        word(&mut out, c.num_residues() as u64);
+        for m in c.moduli() {
+            word(&mut out, m.value());
+        }
+        word(&mut out, c.data().len() as u64);
+        for &w in c.data() {
+            word(&mut out, w);
+        }
+    }
+    out
+}
+
+/// A ciphertext of `size` components at `level` with seeded random
+/// residues, the extremes 0 and p − 1 included.
+fn random_ciphertext(
+    ctx: &CkksContext,
+    level: usize,
+    size: usize,
+    seed: u64,
+) -> heax_ckks::Ciphertext {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let moduli = ctx.level_moduli(level);
+    let polys = (0..size)
+        .map(|_| {
+            let data = moduli
+                .iter()
+                .flat_map(|m| {
+                    let p = m.value();
+                    (0..ctx.n())
+                        .map(|i| match i % 17 {
+                            0 => 0,
+                            1 => p - 1,
+                            _ => rng.gen_range(0..p),
+                        })
+                        .collect::<Vec<_>>()
+                })
+                .collect();
+            RnsPoly::from_data(ctx.n(), moduli, data, Representation::Ntt).unwrap()
+        })
+        .collect();
+    heax_ckks::Ciphertext::from_parts(polys, level, ctx.params().scale()).unwrap()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The bulk word codec writes exactly the per-word layout, and
+    /// reads it back to the same ciphertext, at every level and
+    /// component count.
+    #[test]
+    fn bulk_serializer_matches_per_word_reference(
+        level in 0usize..3,
+        size in 2usize..6,
+        seed in any::<u64>(),
+    ) {
+        let ctx = ctx();
+        let ct = random_ciphertext(&ctx, level, size, seed);
+        let bytes = serialize_ciphertext(&ct);
+        prop_assert_eq!(&bytes, &reference_ciphertext_bytes(&ct));
+        prop_assert_eq!(deserialize_ciphertext(&bytes, &ctx).unwrap(), ct);
+    }
+
+    /// In-place add is bit-identical to the allocating add, whichever
+    /// operand has more components.
+    #[test]
+    fn add_assign_matches_add(
+        level in 0usize..3,
+        sizes in (2usize..5, 2usize..5),
+        seed in any::<u64>(),
+    ) {
+        let ctx = ctx();
+        let a = random_ciphertext(&ctx, level, sizes.0, seed);
+        let b = random_ciphertext(&ctx, level, sizes.1, seed ^ 0x5EED);
+        let eval = Evaluator::new(&ctx);
+        let mut sum = a.clone();
+        eval.add_assign(&mut sum, &b).unwrap();
+        prop_assert_eq!(&sum, &eval.add(&a, &b).unwrap());
+        prop_assert_eq!(&sum, &eval.add(&b, &a).unwrap());
     }
 }

@@ -164,26 +164,27 @@ impl Modulus {
     }
 
     /// `x + y mod p` for `x, y < p`.
+    ///
+    /// Branch-free: on random residues the conditional subtraction
+    /// mispredicts about half the time, so the correction is applied
+    /// through a sign mask instead. `p < 2^62` keeps `x + y - p` within
+    /// `(-2^62, 2^62)`, so its sign bit is exactly `x + y < p`.
     #[inline]
     pub fn add_mod(&self, x: u64, y: u64) -> u64 {
         debug_assert!(x < self.value && y < self.value);
-        let s = x + y;
-        if s >= self.value {
-            s - self.value
-        } else {
-            s
-        }
+        let t = (x + y).wrapping_sub(self.value);
+        let mask = ((t as i64) >> 63) as u64;
+        t.wrapping_add(self.value & mask)
     }
 
-    /// `x - y mod p` for `x, y < p`.
+    /// `x - y mod p` for `x, y < p`, branch-free like
+    /// [`Modulus::add_mod`]: the sign of `x - y` selects the `+ p`.
     #[inline]
     pub fn sub_mod(&self, x: u64, y: u64) -> u64 {
         debug_assert!(x < self.value && y < self.value);
-        if x >= y {
-            x - y
-        } else {
-            x + self.value - y
-        }
+        let t = x.wrapping_sub(y);
+        let mask = ((t as i64) >> 63) as u64;
+        t.wrapping_add(self.value & mask)
     }
 
     /// `-x mod p` for `x < p`.

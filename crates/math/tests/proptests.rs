@@ -19,6 +19,27 @@ fn arb_modulus() -> impl Strategy<Value = Modulus> {
     .prop_map(|p| Modulus::new(p).unwrap())
 }
 
+/// `add_mod` as the conditional subtraction it was before it went
+/// branch-free; the two must agree bit for bit.
+fn add_mod_branchy(p: u64, x: u64, y: u64) -> u64 {
+    let s = x + y;
+    if s >= p {
+        s - p
+    } else {
+        s
+    }
+}
+
+/// `sub_mod` as the conditional addition it was before it went
+/// branch-free.
+fn sub_mod_branchy(p: u64, x: u64, y: u64) -> u64 {
+    if x >= y {
+        x - y
+    } else {
+        x + p - y
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -41,6 +62,31 @@ proptest! {
         let y = y % p.value();
         let c = MulRedConstant::new(y, &p);
         prop_assert_eq!(c.mul_red(x, &p), p.mul_mod(x, y));
+    }
+
+    #[test]
+    fn branch_free_add_sub_match_branchy_forms(
+        p in arb_modulus(),
+        x in any::<u64>(),
+        y in any::<u64>(),
+        edge in 0u8..9,
+    ) {
+        // The widest modulus `Modulus::new` accepts rides along with
+        // the NTT primes: it is where the sign-mask trick has the least
+        // headroom.
+        let widest = Modulus::new((1u64 << 62) - 57).unwrap();
+        for m in [p, widest] {
+            let q = m.value();
+            // Edge cases: each operand is random, 0, or p - 1.
+            let pick = |v: u64, e: u8| match e {
+                0 => v % q,
+                1 => 0,
+                _ => q - 1,
+            };
+            let (a, b) = (pick(x, edge % 3), pick(y, edge / 3));
+            prop_assert_eq!(m.add_mod(a, b), add_mod_branchy(q, a, b));
+            prop_assert_eq!(m.sub_mod(a, b), sub_mod_branchy(q, a, b));
+        }
     }
 
     #[test]

@@ -12,13 +12,24 @@
 //! connection. A connection is a byte pipe, nothing more: frames may
 //! arrive fragmented at any byte boundary and replies are written in
 //! whatever chunks the socket accepts, with the remainder parked in a
-//! per-connection write ring until the peer drains it.
+//! per-connection write buffer until the peer drains it.
 //!
 //! Each [`NetServer::poll`] turn is one event-loop iteration: accept
 //! pending connections, read every readable connection into its
 //! [`FrameAssembler`], dispatch completed frames into the inner
 //! [`HeaxServer`], decide whether to flush the batch queue, and write
-//! pending reply bytes back out. The loop is single-threaded by
+//! pending reply bytes back out.
+//!
+//! ## One pass over the bytes
+//!
+//! Each inline ciphertext byte crosses the host once per direction.
+//! Inbound, the socket `read`s straight into the connection's linear
+//! intake buffer ([`ByteBuf`]) and a complete frame is handed to
+//! [`HeaxServer::handle_frame`] as a slice borrowed from that buffer —
+//! no bounce buffer, no per-frame copy. Outbound,
+//! [`HeaxServer::flush_with`] serializes each result straight behind
+//! its frame header and the runtime appends the borrowed frame to the
+//! connection's write buffer. The loop is single-threaded by
 //! design — parallelism lives *below* the server, in the executor's
 //! limb lanes — so driving it from a test, a binary, or a bench loop
 //! is the same `while … { poll() }`.
@@ -31,7 +42,7 @@
 //! deadline machinery uses when a queued request's budget runs out —
 //! one load-shedding vocabulary whether pressure shows up at the door
 //! or inside the batch. A connection whose peer stops reading
-//! (its write ring exceeding [`NetConfig::max_write_buffer`]) is
+//! (its write buffer exceeding [`NetConfig::max_write_buffer`]) is
 //! dropped rather than allowed to wedge the loop.
 //!
 //! ## The session-key LRU
@@ -79,38 +90,47 @@ pub const MAX_FRAME_PAYLOAD: u32 = 1 << 26;
 /// Poller token reserved for the listening socket.
 const LISTENER_TOKEN: u64 = 0;
 
-/// Read-chunk size for draining a readable connection.
-const READ_CHUNK: usize = 16 * 1024;
+/// Least spare room a read is offered: below it the intake buffer
+/// compacts or grows before the next `read`.
+const READ_MIN: usize = 16 * 1024;
 
 // ---------------------------------------------------------------------
-// Byte ring
+// Byte buffer
 // ---------------------------------------------------------------------
 
-/// A growable byte ring: bytes pushed at the tail, consumed at the
-/// head, no per-frame allocations on the steady-state path. Backs both
-/// directions of a connection — inbound bytes awaiting frame assembly
-/// and outbound reply bytes awaiting a writable socket.
+/// A linear byte buffer: live bytes are `data[head..tail]`, and the
+/// spare room after `tail` is where a socket `read` lands directly.
+/// Backs both directions of a connection — inbound bytes awaiting frame
+/// assembly, handed out as borrowed contiguous frames, and outbound
+/// reply bytes awaiting a writable socket, written in one call.
+///
+/// Consumed space is reclaimed for free when the buffer drains (both
+/// ends reset to 0); the live remainder — at most a partial frame on
+/// intake — is moved to the front only when the tail runs out of room,
+/// and the allocation grows only if that is still not enough. So after
+/// warm-up a connection moving same-size frames neither allocates nor
+/// copies more than that remainder.
 #[derive(Debug, Default)]
-pub struct RingBuf {
+pub struct ByteBuf {
     data: Vec<u8>,
     head: usize,
-    len: usize,
+    tail: usize,
 }
 
-impl RingBuf {
-    /// An empty ring (first push allocates).
+impl ByteBuf {
+    /// An empty buffer (first write allocates).
     pub fn new() -> Self {
-        RingBuf::default()
+        ByteBuf::default()
     }
 
     /// Bytes currently buffered.
     pub fn len(&self) -> usize {
-        self.len
+        self.tail - self.head
     }
 
-    /// Whether the ring is empty.
+    /// Whether the buffer is empty.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.head == self.tail
     }
 
     /// Current allocation size.
@@ -118,85 +138,68 @@ impl RingBuf {
         self.data.len()
     }
 
-    /// Re-linearizes into an allocation of at least `need` bytes.
-    fn grow(&mut self, need: usize) {
-        let mut cap = self.data.len().max(64);
-        while cap < need {
-            cap *= 2;
-        }
-        let mut fresh = vec![0u8; cap];
-        let copied = self.peek(&mut fresh[..self.len]);
-        debug_assert_eq!(copied, self.len);
-        self.data = fresh;
-        self.head = 0;
+    /// The buffered bytes, contiguous.
+    pub fn as_slice(&self) -> &[u8] {
+        &self.data[self.head..self.tail]
     }
 
-    /// Appends `bytes` at the tail, growing as needed.
-    pub fn push_slice(&mut self, bytes: &[u8]) {
-        if bytes.is_empty() {
-            // Guards the tail computation below: a never-allocated
-            // ring has capacity 0, and an empty push must not reach
-            // the `% cap`.
+    /// Makes room for at least `min` bytes after the tail: compacts the
+    /// live bytes to the front first, grows (doubling) only if that is
+    /// not enough.
+    fn reserve(&mut self, min: usize) {
+        if self.data.len() - self.tail >= min {
             return;
         }
-        if self.len + bytes.len() > self.data.len() {
-            self.grow(self.len + bytes.len());
+        if self.head > 0 {
+            self.data.copy_within(self.head..self.tail, 0);
+            self.tail -= self.head;
+            self.head = 0;
         }
-        let cap = self.data.len();
-        let tail = (self.head + self.len) % cap;
-        let first = (cap - tail).min(bytes.len());
-        self.data[tail..tail + first].copy_from_slice(&bytes[..first]);
-        let rest = bytes.len() - first;
-        if rest > 0 {
-            self.data[..rest].copy_from_slice(&bytes[first..]);
+        if self.data.len() - self.tail < min {
+            let cap = (self.tail + min).max(2 * self.data.len());
+            self.data.resize(cap, 0);
         }
-        self.len += bytes.len();
     }
 
-    /// Copies up to `out.len()` bytes from the head without consuming;
-    /// returns the number copied.
-    pub fn peek(&self, out: &mut [u8]) -> usize {
-        let n = out.len().min(self.len);
-        if n == 0 {
-            return 0;
-        }
-        let cap = self.data.len();
-        let first = (cap - self.head).min(n);
-        out[..first].copy_from_slice(&self.data[self.head..self.head + first]);
-        if n > first {
-            out[first..n].copy_from_slice(&self.data[..n - first]);
-        }
-        n
+    /// Appends `bytes` at the tail.
+    pub fn push_slice(&mut self, bytes: &[u8]) {
+        self.reserve(bytes.len());
+        self.data[self.tail..self.tail + bytes.len()].copy_from_slice(bytes);
+        self.tail += bytes.len();
     }
 
-    /// The longest contiguous slice at the head (what one `write` call
-    /// can take without copying).
-    pub fn first_slice(&self) -> &[u8] {
-        let end = (self.head + self.len).min(self.data.len());
-        &self.data[self.head..end]
+    /// One `read` from `src` straight into the spare room after the
+    /// tail (at least 16 KiB of it); returns the byte count, `0`
+    /// meaning end of stream.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `src.read` returns.
+    pub fn read_from(&mut self, src: &mut impl Read) -> io::Result<usize> {
+        self.reserve(READ_MIN);
+        let n = src.read(&mut self.data[self.tail..])?;
+        self.tail += n;
+        Ok(n)
     }
 
     /// Drops up to `n` bytes from the head; returns the number dropped.
     pub fn consume(&mut self, n: usize) -> usize {
-        let n = n.min(self.len);
-        if self.data.is_empty() {
-            return 0;
-        }
-        self.head = (self.head + n) % self.data.len();
-        self.len -= n;
-        if self.len == 0 {
+        let n = n.min(self.len());
+        self.head += n;
+        if self.head == self.tail {
             self.head = 0;
+            self.tail = 0;
         }
         n
     }
 
-    /// Copies and consumes up to `n` bytes from the head.
-    pub fn take(&mut self, n: usize) -> Vec<u8> {
-        let n = n.min(self.len);
-        let mut out = vec![0u8; n];
-        self.peek(&mut out);
-        self.consume(n);
-        out
+    /// Consumes the first `n` buffered bytes (`n <= len`) and returns
+    /// them, still in place: consuming never moves or overwrites bytes,
+    /// so the slice stays valid until the next write to the buffer.
+    fn split_front(&mut self, n: usize) -> &[u8] {
+        let start = self.head;
+        let n = self.consume(n);
+        &self.data[start..start + n]
     }
 }
 
@@ -235,7 +238,9 @@ impl std::fmt::Display for FrameIntakeError {
 impl std::error::Error for FrameIntakeError {}
 
 /// Incremental frame assembly over an arbitrarily fragmented byte
-/// stream: push whatever the socket produced, pop complete frames.
+/// stream: read (or push) whatever the socket produced, take complete
+/// frames as slices borrowed from the intake buffer — no per-frame copy
+/// or allocation.
 ///
 /// The assembler validates only what framing needs — the magic and the
 /// payload-length bound. Version, kind, and body validation stay with
@@ -249,7 +254,7 @@ impl std::error::Error for FrameIntakeError {}
 /// decoding.
 #[derive(Debug)]
 pub struct FrameAssembler {
-    buf: RingBuf,
+    buf: ByteBuf,
     max_payload: u32,
 }
 
@@ -269,7 +274,7 @@ impl FrameAssembler {
     /// to exercise the oversize path cheaply).
     pub fn with_max_payload(max_payload: u32) -> Self {
         FrameAssembler {
-            buf: RingBuf::new(),
+            buf: ByteBuf::new(),
             max_payload,
         }
     }
@@ -279,28 +284,37 @@ impl FrameAssembler {
         self.buf.push_slice(bytes);
     }
 
+    /// One `read` from `src` straight into the intake buffer (no bounce
+    /// copy); returns the byte count, `0` meaning end of stream.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `src.read` returns.
+    pub fn read_from(&mut self, src: &mut impl Read) -> io::Result<usize> {
+        self.buf.read_from(src)
+    }
+
     /// Bytes buffered but not yet returned as a complete frame.
     pub fn buffered(&self) -> usize {
         self.buf.len()
     }
 
-    /// Pops the next complete frame, if one is fully buffered.
+    /// Takes the next complete frame, if one is fully buffered.
     ///
     /// `Ok(None)` means "need more bytes"; a complete frame is returned
-    /// with header and payload as one `Vec` (exactly what
-    /// [`HeaxServer::handle_frame`] expects).
+    /// with header and payload as one slice borrowed from the intake
+    /// buffer (exactly what [`HeaxServer::handle_frame`] expects), valid
+    /// until the assembler is next fed.
     ///
     /// # Errors
     ///
     /// [`FrameIntakeError`] when the buffered bytes cannot be the start
     /// of a frame; the stream is beyond recovery and the connection
     /// must be dropped.
-    pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, FrameIntakeError> {
-        if self.buf.len() < FRAME_HEADER_LEN {
+    pub fn next_frame(&mut self) -> Result<Option<&[u8]>, FrameIntakeError> {
+        let Some(header) = self.buf.as_slice().get(..FRAME_HEADER_LEN) else {
             return Ok(None);
-        }
-        let mut header = [0u8; FRAME_HEADER_LEN];
-        self.buf.peek(&mut header);
+        };
         if header[..4] != FRAME_MAGIC {
             return Err(FrameIntakeError::BadMagic);
         }
@@ -317,7 +331,7 @@ impl FrameAssembler {
         if self.buf.len() < total {
             return Ok(None);
         }
-        Ok(Some(self.buf.take(total)))
+        Ok(Some(self.buf.split_front(total)))
     }
 }
 
@@ -644,7 +658,7 @@ pub struct NetConfig {
     /// Queue-depth bound for request admission; requests arriving at a
     /// deeper queue are answered with a load-shed error frame.
     pub max_queue_depth: usize,
-    /// Per-connection write-ring cap: a peer that stops reading until
+    /// Per-connection write-buffer cap: a peer that stops reading until
     /// this many reply bytes pile up is dropped (stalled-reader
     /// containment).
     pub max_write_buffer: usize,
@@ -690,7 +704,7 @@ pub struct NetStats {
     /// Connections dropped for framing violations (bad magic, oversized
     /// frame), each answered first with a structured error frame.
     pub hostile_drops: u64,
-    /// Connections dropped because their write ring exceeded the cap
+    /// Connections dropped because their write buffer exceeded the cap
     /// (peer stopped reading).
     pub overflow_drops: u64,
     /// Complete frames assembled and dispatched.
@@ -756,7 +770,7 @@ struct Route {
 struct Conn {
     stream: TcpStream,
     assembler: FrameAssembler,
-    out: RingBuf,
+    out: ByteBuf,
     /// Interest bits currently registered with the poller.
     interest: u32,
     /// Marked for reaping at the end of the poll turn.
@@ -905,23 +919,31 @@ impl<'a> NetServer<'a> {
     /// included in the count's complement, see
     /// [`NetStats::orphaned_replies`]).
     pub fn flush_now(&mut self) -> usize {
-        let replies = self.inner.flush();
-        if replies.is_empty() {
-            return 0;
-        }
-        self.stats.flushes = self.stats.flushes.saturating_add(1);
+        let NetServer {
+            inner,
+            pending,
+            keys,
+            conns,
+            poller,
+            stats,
+            config,
+            ..
+        } = self;
         let mut routed = 0;
-        for reply in replies {
+        let replies = inner.flush_with(|reply| {
             // One route per queued request, submission order — the
             // flush contract.
-            let Some(route) = self.pending.pop_front() else {
-                break;
+            let Some(route) = pending.pop_front() else {
+                return;
             };
-            self.keys.end_request(route.session);
-            if self.enqueue_reply(route.token, &reply) {
+            keys.end_request(route.session);
+            if enqueue_reply(conns, poller, stats, config, route.token, reply) {
                 routed += 1;
-                self.stats.replies_routed = self.stats.replies_routed.saturating_add(1);
+                stats.replies_routed = stats.replies_routed.saturating_add(1);
             }
+        });
+        if replies > 0 {
+            self.stats.flushes = self.stats.flushes.saturating_add(1);
         }
         routed
     }
@@ -958,7 +980,7 @@ impl<'a> NetServer<'a> {
                             assembler: FrameAssembler::with_max_payload(
                                 self.config.max_frame_payload,
                             ),
-                            out: RingBuf::new(),
+                            out: ByteBuf::new(),
                             interest: epoll::READABLE,
                             dying: false,
                         },
@@ -976,55 +998,58 @@ impl<'a> NetServer<'a> {
         accepted
     }
 
-    /// Reads a readable connection to `WouldBlock`, assembles frames,
-    /// and dispatches each; returns the number of frames ingested.
+    /// Reads a readable connection to `WouldBlock` straight into its
+    /// intake buffer, then dispatches each complete frame in place;
+    /// returns the number of frames ingested.
     fn read_ready(&mut self, token: u64) -> usize {
-        let mut frames = Vec::new();
+        let Some(conn) = self.conns.get_mut(&token) else {
+            return 0;
+        };
+        loop {
+            match conn.assembler.read_from(&mut conn.stream) {
+                Ok(0) => {
+                    conn.dying = true;
+                    self.stats.disconnects = self.stats.disconnects.saturating_add(1);
+                    break;
+                }
+                Ok(n) => {
+                    self.stats.bytes_in = self.stats.bytes_in.saturating_add(n as u64);
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(_) => {
+                    conn.dying = true;
+                    self.stats.disconnects = self.stats.disconnects.saturating_add(1);
+                    break;
+                }
+            }
+        }
+        // The assembler is lent out of the connection while its frames
+        // are dispatched, so each frame stays borrowed from the intake
+        // buffer while the engine and the reply path are reached.
+        let mut assembler = std::mem::take(&mut conn.assembler);
+        let mut count = 0;
         let mut hostile: Option<FrameIntakeError> = None;
-        {
-            let Some(conn) = self.conns.get_mut(&token) else {
-                return 0;
-            };
-            let mut buf = [0u8; READ_CHUNK];
-            loop {
-                match conn.stream.read(&mut buf) {
-                    Ok(0) => {
-                        conn.dying = true;
-                        self.stats.disconnects = self.stats.disconnects.saturating_add(1);
-                        break;
-                    }
-                    Ok(n) => {
-                        self.stats.bytes_in = self.stats.bytes_in.saturating_add(n as u64);
-                        conn.assembler.push(&buf[..n]);
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        conn.dying = true;
-                        self.stats.disconnects = self.stats.disconnects.saturating_add(1);
-                        break;
-                    }
+        loop {
+            match assembler.next_frame() {
+                Ok(Some(frame)) => {
+                    count += 1;
+                    self.dispatch(token, frame);
                 }
-            }
-            loop {
-                match conn.assembler.next_frame() {
-                    Ok(Some(frame)) => frames.push(frame),
-                    Ok(None) => break,
-                    Err(e) => {
-                        hostile = Some(e);
-                        break;
-                    }
+                Ok(None) => break,
+                Err(e) => {
+                    hostile = Some(e);
+                    break;
                 }
-            }
-            if hostile.is_none() && conn.assembler.buffered() > 0 {
-                self.stats.partial_frame_reads = self.stats.partial_frame_reads.saturating_add(1);
             }
         }
-        let count = frames.len();
+        if hostile.is_none() && assembler.buffered() > 0 {
+            self.stats.partial_frame_reads = self.stats.partial_frame_reads.saturating_add(1);
+        }
+        if let Some(conn) = self.conns.get_mut(&token) {
+            conn.assembler = assembler;
+        }
         self.stats.frames_in = self.stats.frames_in.saturating_add(count as u64);
-        for frame in frames {
-            self.dispatch(token, &frame);
-        }
         if let Some(e) = hostile {
             // Structured error frame, then the axe: the stream is
             // unframeable, so this is the last thing the peer hears.
@@ -1186,29 +1211,17 @@ impl<'a> NetServer<'a> {
         wire::encode_frame(version, MessageKind::Error, session, request, &payload)
     }
 
-    /// Queues reply bytes on a connection's write ring; `false` when
+    /// Queues reply bytes on a connection's write buffer; `false` when
     /// the connection is gone or was dropped for overflow.
     fn enqueue_reply(&mut self, token: u64, bytes: &[u8]) -> bool {
-        let Some(conn) = self.conns.get_mut(&token) else {
-            self.stats.orphaned_replies = self.stats.orphaned_replies.saturating_add(1);
-            return false;
-        };
-        if conn.dying {
-            self.stats.orphaned_replies = self.stats.orphaned_replies.saturating_add(1);
-            return false;
-        }
-        if conn.out.len() + bytes.len() > self.config.max_write_buffer {
-            // Stalled reader: the peer owes us a read before it gets
-            // more replies; containment is dropping it, not buffering
-            // without bound.
-            conn.dying = true;
-            self.stats.overflow_drops = self.stats.overflow_drops.saturating_add(1);
-            self.stats.orphaned_replies = self.stats.orphaned_replies.saturating_add(1);
-            return false;
-        }
-        conn.out.push_slice(bytes);
-        self.update_interest(token);
-        true
+        enqueue_reply(
+            &mut self.conns,
+            &self.poller,
+            &mut self.stats,
+            &self.config,
+            token,
+            bytes,
+        )
     }
 
     /// Writes as much pending output as the socket takes.
@@ -1217,7 +1230,7 @@ impl<'a> NetServer<'a> {
             return;
         };
         while !conn.out.is_empty() {
-            let slice = conn.out.first_slice();
+            let slice = conn.out.as_slice();
             let want = slice.len();
             match conn.stream.write(slice) {
                 Ok(0) => {
@@ -1244,28 +1257,7 @@ impl<'a> NetServer<'a> {
                 }
             }
         }
-        self.update_interest(token);
-    }
-
-    /// Re-arms the poller with `READABLE` (+ `WRITABLE` while output is
-    /// pending), skipping the syscall when nothing changed.
-    fn update_interest(&mut self, token: u64) {
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return;
-        };
-        let want = if conn.out.is_empty() {
-            epoll::READABLE
-        } else {
-            epoll::READABLE | epoll::WRITABLE
-        };
-        if want != conn.interest
-            && self
-                .poller
-                .modify(conn.stream.as_raw_fd(), token, want)
-                .is_ok()
-        {
-            conn.interest = want;
-        }
+        conn.update_interest(&self.poller, token);
     }
 
     /// Removes every connection marked dying; returns how many.
@@ -1285,59 +1277,128 @@ impl<'a> NetServer<'a> {
     }
 }
 
+/// Queues reply bytes on a connection's write buffer; `false` when the
+/// connection is gone or was dropped for overflow. A free function over
+/// the transport's fields so the flush callback can route replies while
+/// the engine is borrowed.
+fn enqueue_reply(
+    conns: &mut HashMap<u64, Conn>,
+    poller: &epoll::Poller,
+    stats: &mut NetStats,
+    config: &NetConfig,
+    token: u64,
+    bytes: &[u8],
+) -> bool {
+    let Some(conn) = conns.get_mut(&token) else {
+        stats.orphaned_replies = stats.orphaned_replies.saturating_add(1);
+        return false;
+    };
+    if conn.dying {
+        stats.orphaned_replies = stats.orphaned_replies.saturating_add(1);
+        return false;
+    }
+    if conn.out.len() + bytes.len() > config.max_write_buffer {
+        // Stalled reader: the peer owes us a read before it gets more
+        // replies; containment is dropping it, not buffering without
+        // bound.
+        conn.dying = true;
+        stats.overflow_drops = stats.overflow_drops.saturating_add(1);
+        stats.orphaned_replies = stats.orphaned_replies.saturating_add(1);
+        return false;
+    }
+    conn.out.push_slice(bytes);
+    conn.update_interest(poller, token);
+    true
+}
+
+impl Conn {
+    /// Re-arms the poller with `READABLE` (+ `WRITABLE` while output is
+    /// pending), skipping the syscall when nothing changed.
+    fn update_interest(&mut self, poller: &epoll::Poller, token: u64) {
+        let want = if self.out.is_empty() {
+            epoll::READABLE
+        } else {
+            epoll::READABLE | epoll::WRITABLE
+        };
+        if want != self.interest && poller.modify(self.stream.as_raw_fd(), token, want).is_ok() {
+            self.interest = want;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    // ----- RingBuf -----
+    // ----- ByteBuf -----
 
     #[test]
-    fn ringbuf_push_peek_consume_across_wraps() {
-        let mut rb = RingBuf::new();
-        assert!(rb.is_empty());
-        rb.push_slice(b"hello");
-        assert_eq!(rb.len(), 5);
-        let mut out = [0u8; 3];
-        assert_eq!(rb.peek(&mut out), 3);
-        assert_eq!(&out, b"hel");
-        assert_eq!(rb.consume(2), 2);
-        assert_eq!(rb.take(3), b"llo");
-        assert!(rb.is_empty());
-        // Force wrap-around: fill, drain half, refill past the seam.
-        let big = vec![7u8; 100];
-        rb.push_slice(&big);
-        rb.consume(90);
-        rb.push_slice(b"abcdefghij");
-        assert_eq!(rb.len(), 20);
-        let all = rb.take(20);
-        assert_eq!(&all[..10], &[7u8; 10]);
-        assert_eq!(&all[10..], b"abcdefghij");
-        // Totality: over-consume and over-take are clamped.
-        rb.push_slice(b"xy");
-        assert_eq!(rb.consume(99), 2);
-        assert_eq!(rb.take(99), b"");
+    fn bytebuf_push_consume_compacts_in_place() {
+        let mut b = ByteBuf::new();
+        assert!(b.is_empty());
+        b.push_slice(b"hello");
+        assert_eq!(b.len(), 5);
+        assert_eq!(b.as_slice(), b"hello");
+        assert_eq!(b.consume(2), 2);
+        assert_eq!(b.as_slice(), b"llo");
+        // Fill to the allocation's end, drain most of it, and push past
+        // the end: the live remainder moves to the front instead of the
+        // buffer growing.
+        b.consume(3);
+        b.push_slice(&[7u8; 100]);
+        let cap = b.capacity();
+        b.push_slice(&vec![7u8; cap - 100]);
+        b.consume(cap - 10);
+        b.push_slice(b"abcdefghij");
+        assert_eq!(b.capacity(), cap, "compaction, not growth");
+        assert_eq!(b.len(), 20);
+        assert_eq!(&b.as_slice()[..10], &[7u8; 10]);
+        assert_eq!(&b.as_slice()[10..], b"abcdefghij");
+        // Totality: over-consume is clamped, and draining resets.
+        b.push_slice(b"xy");
+        assert_eq!(b.consume(99), 22);
+        assert!(b.is_empty());
+        assert_eq!(b.consume(1), 0);
     }
 
     #[test]
-    fn ringbuf_empty_push_is_a_no_op_even_before_first_allocation() {
-        let mut rb = RingBuf::new();
-        rb.push_slice(&[]);
-        assert!(rb.is_empty());
-        assert_eq!(rb.capacity(), 0);
-        rb.push_slice(b"abc");
-        rb.push_slice(&[]);
-        assert_eq!(rb.take(3), b"abc");
+    fn bytebuf_empty_push_is_a_no_op_even_before_first_allocation() {
+        let mut b = ByteBuf::new();
+        b.push_slice(&[]);
+        assert!(b.is_empty());
+        assert_eq!(b.capacity(), 0);
+        b.push_slice(b"abc");
+        b.push_slice(&[]);
+        assert_eq!(b.as_slice(), b"abc");
     }
 
     #[test]
-    fn ringbuf_growth_preserves_order() {
-        let mut rb = RingBuf::new();
+    fn bytebuf_growth_preserves_order() {
+        let mut b = ByteBuf::new();
+        let mut next = 0u32;
         for i in 0..1000u32 {
-            rb.push_slice(&i.to_le_bytes());
+            b.push_slice(&i.to_le_bytes());
+            // Interleaved partial drains make growth and compaction
+            // both happen with live bytes in the buffer.
+            if i % 3 == 0 {
+                assert_eq!(b.split_front(4), next.to_le_bytes());
+                next += 1;
+            }
         }
-        for i in 0..1000u32 {
-            assert_eq!(rb.take(4), i.to_le_bytes());
+        while next < 1000 {
+            assert_eq!(b.split_front(4), next.to_le_bytes());
+            next += 1;
         }
+        assert!(b.is_empty());
+    }
+
+    #[test]
+    fn bytebuf_reads_straight_into_spare_room() {
+        let src: Vec<u8> = (0..50_000u32).map(|i| i as u8).collect();
+        let mut reader = src.as_slice();
+        let mut b = ByteBuf::new();
+        while b.read_from(&mut reader).unwrap() > 0 {}
+        assert_eq!(b.as_slice(), src.as_slice());
     }
 
     // ----- FrameAssembler -----
@@ -1359,7 +1420,7 @@ mod tests {
         for &b in &stream {
             asm.push(&[b]);
             while let Some(f) = asm.next_frame().unwrap() {
-                got.push(f);
+                got.push(f.to_vec());
             }
         }
         assert_eq!(got, frames);
@@ -1388,7 +1449,7 @@ mod tests {
         asm.push(&frame[..FRAME_HEADER_LEN - 1]);
         assert_eq!(asm.next_frame().unwrap(), None);
         asm.push(&frame[FRAME_HEADER_LEN - 1..]);
-        assert_eq!(asm.next_frame().unwrap(), Some(frame));
+        assert_eq!(asm.next_frame().unwrap(), Some(frame.as_slice()));
     }
 
     // ----- SessionKeyLru -----

@@ -10,8 +10,10 @@
 //! * [`HeaxServer::handle_frame`] ingests one client frame. Control
 //!   frames (session open/close, key registration) are answered
 //!   immediately; request frames are validated, decoded, and queued.
-//! * [`HeaxServer::flush`] drains the queue as **one batch**, returning
-//!   a response frame per queued request in submission order.
+//! * [`HeaxServer::flush_with`] drains the queue as **one batch**,
+//!   handing a response frame per queued request, in submission order,
+//!   to a callback — a transport appends each straight to its
+//!   connection. [`HeaxServer::flush`] collects them into a `Vec`.
 //!
 //! ## Batching semantics
 //!
@@ -63,9 +65,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use heax_ckks::galois::galois_elt_from_step;
-use heax_ckks::serialize::{
-    deserialize_galois_keys, deserialize_operand, deserialize_relin_key, serialize_ciphertext_into,
-};
+use heax_ckks::serialize::{deserialize_galois_keys, deserialize_operand, deserialize_relin_key};
 use heax_ckks::{Ciphertext, CkksContext, Evaluator};
 use heax_core::{HeaxAccelerator, HeaxSystem};
 use heax_hw::board::Board;
@@ -208,7 +208,9 @@ pub struct HeaxServer<'a> {
     cluster_model: Option<ClusterModel>,
     flush_policy: FlushPolicy,
     injector: Option<FaultInjector>,
-    scratch_out: Vec<u8>,
+    /// The reply frame being handed out by [`HeaxServer::flush_with`],
+    /// kept across flushes so steady-state replies reuse its storage.
+    reply: Vec<u8>,
 }
 
 impl<'a> HeaxServer<'a> {
@@ -240,7 +242,7 @@ impl<'a> HeaxServer<'a> {
             cluster_model: None,
             flush_policy: FlushPolicy::default(),
             injector: None,
-            scratch_out: Vec::new(),
+            reply: Vec::new(),
         }
     }
 
@@ -627,7 +629,18 @@ impl<'a> HeaxServer<'a> {
     }
 
     /// Executes every queued request as one batch and returns a response
-    /// frame per request, in submission order.
+    /// frame per request, in submission order: [`HeaxServer::flush_with`]
+    /// with each frame copied out.
+    pub fn flush(&mut self) -> Vec<Vec<u8>> {
+        let mut replies = Vec::with_capacity(self.queue.len());
+        self.flush_with(|frame| replies.push(frame.to_vec()));
+        replies
+    }
+
+    /// Executes every queued request as one batch and hands `emit` a
+    /// response frame per request, in submission order; returns how
+    /// many. The frame is borrowed from a buffer the server reuses —
+    /// copy out what must outlive the call.
     ///
     /// The pipeline is lower → fuse → execute → model: requests lower
     /// into the shared IR ([`heax_hw::ir`]), the rotation-fusion pass
@@ -638,10 +651,14 @@ impl<'a> HeaxServer<'a> {
     /// position), and the very same stream is handed to the board
     /// and/or cluster models afterwards. No model-only stream is ever
     /// reconstructed.
-    pub fn flush(&mut self) -> Vec<Vec<u8>> {
-        let items: Vec<Pending> = self.queue.drain(..).collect();
+    ///
+    /// Execution consumes the queued operands: an `Add` whose first
+    /// operand arrived inline sums into it in place, and a result reply
+    /// is serialized straight behind its frame header.
+    pub fn flush_with(&mut self, mut emit: impl FnMut(&[u8])) -> usize {
+        let mut items: Vec<Pending> = self.queue.drain(..).collect();
         if items.is_empty() {
-            return Vec::new();
+            return 0;
         }
         self.metrics.batches = self.metrics.batches.saturating_add(1);
         self.metrics.batched_requests = self
@@ -663,7 +680,7 @@ impl<'a> HeaxServer<'a> {
 
         let mut results: Vec<Option<Result<Ciphertext, ServerError>>> =
             (0..items.len()).map(|_| None).collect();
-        let mut replies = Vec::with_capacity(items.len());
+        let mut frame = std::mem::take(&mut self.reply);
         for idx in 0..items.len() {
             // Execute (a fused group executes when its first member is
             // reached and pre-fills every member's slot). Each execution
@@ -696,7 +713,7 @@ impl<'a> HeaxServer<'a> {
                         stats.requests = stats.requests.saturating_add(members.len() as u64);
                         stats.busy_us += start.elapsed().as_secs_f64() * 1e6;
                     } else {
-                        let outcome = self.exec_single(&items[idx]);
+                        let outcome = self.exec_single(&mut items[idx]);
                         let stats = self.metrics.op_mut(items[idx].op);
                         stats.requests = stats.requests.saturating_add(1);
                         stats.busy_us += start.elapsed().as_secs_f64() * 1e6;
@@ -709,24 +726,20 @@ impl<'a> HeaxServer<'a> {
             // visible to every later request in the same flush.
             let it = &items[idx];
             let outcome = results[idx].take().expect("slot filled by executor");
-            let frame = match self.finish_request(it, outcome) {
-                Ok(frame) => {
-                    self.note_out(it.session, &frame);
-                    frame
+            if let Err(e) = self.finish_request(it, outcome, &mut frame) {
+                let op = self.metrics.op_mut(it.op);
+                op.errors = op.errors.saturating_add(1);
+                if let Ok(sess) = self.sessions.get_mut(it.session) {
+                    sess.stats.errors = sess.stats.errors.saturating_add(1);
                 }
-                Err(e) => {
-                    let op = self.metrics.op_mut(it.op);
-                    op.errors = op.errors.saturating_add(1);
-                    if let Ok(sess) = self.sessions.get_mut(it.session) {
-                        sess.stats.errors = sess.stats.errors.saturating_add(1);
-                    }
-                    self.error_frame(it.version, it.session, it.request, &e)
-                }
-            };
-            replies.push(frame);
+                encode_error_frame(it.version, it.session, it.request, &e, &mut frame);
+            }
+            self.note_out(it.session, &frame);
+            emit(&frame);
         }
+        self.reply = frame;
         self.model_flush(&items, &plan);
-        replies
+        items.len()
     }
 
     /// Runs the flush retry policy for one execution site: draws
@@ -854,13 +867,14 @@ impl<'a> HeaxServer<'a> {
     }
 
     /// Parks or serializes one successful result into a complete
-    /// response frame (written in one pass — the result bytes are
-    /// copied exactly once).
+    /// response frame in `frame` (written in one pass — the result is
+    /// serialized straight behind the header).
     fn finish_request(
         &mut self,
         it: &Pending,
         outcome: Result<Ciphertext, ServerError>,
-    ) -> Result<Vec<u8>, ServerError> {
+        frame: &mut Vec<u8>,
+    ) -> Result<(), ServerError> {
         let mut ct = outcome?;
         match &it.park_as {
             Some(name) => {
@@ -875,12 +889,14 @@ impl<'a> HeaxServer<'a> {
                 if !sess.parked.contains(name) {
                     sess.parked.push(name.clone());
                 }
-                Ok(wire::encode_response_frame(
+                wire::encode_response_frame_into(
                     it.version,
                     it.session,
                     it.request,
                     &ReplyBody::Parked(name),
-                ))
+                    frame,
+                );
+                Ok(())
             }
             None => {
                 // v2 compress-reply: the client only needs decrypt-level
@@ -893,13 +909,10 @@ impl<'a> HeaxServer<'a> {
                     self.metrics.compressed_replies =
                         self.metrics.compressed_replies.saturating_add(1);
                 }
-                serialize_ciphertext_into(&ct, &mut self.scratch_out);
-                Ok(wire::encode_response_frame(
-                    it.version,
-                    it.session,
-                    it.request,
-                    &ReplyBody::Ciphertext(&self.scratch_out),
-                ))
+                wire::encode_ciphertext_response_into(
+                    it.version, it.session, it.request, &ct, frame,
+                );
+                Ok(())
             }
         }
     }
@@ -919,8 +932,18 @@ impl<'a> HeaxServer<'a> {
         }
     }
 
-    /// Executes one non-fused request.
-    fn exec_single(&self, it: &Pending) -> Result<Ciphertext, ServerError> {
+    /// Executes one non-fused request. An `Add` whose first operand
+    /// arrived inline owns that ciphertext, so it sums into it in place
+    /// (consuming the operand) instead of cloning it.
+    fn exec_single(&self, it: &mut Pending) -> Result<Ciphertext, ServerError> {
+        if let (OpCode::Add, [Operand::Inline(_), _]) = (it.op, it.operands.as_slice()) {
+            if let Operand::Inline(mut a) = it.operands.swap_remove(0) {
+                // `swap_remove` moved the second operand to the front.
+                self.eval
+                    .add_assign(&mut a, self.resolve(it.session, &it.operands[0])?)?;
+                return Ok(a);
+            }
+        }
         let a = self.resolve(it.session, &it.operands[0])?;
         match it.op {
             OpCode::Add => {
@@ -1017,8 +1040,8 @@ impl<'a> HeaxServer<'a> {
 
     /// Builds (and accounts) an error frame at the peer's wire version.
     fn error_frame(&mut self, version: u8, session: u64, request: u64, e: &ServerError) -> Vec<u8> {
-        let payload = wire::encode_error(e.code(), &e.to_string());
-        let frame = wire::encode_frame(version, MessageKind::Error, session, request, &payload);
+        let mut frame = Vec::new();
+        encode_error_frame(version, session, request, e, &mut frame);
         self.note_out(session, &frame);
         frame
     }
@@ -1162,6 +1185,13 @@ fn lower_ops(items: &[&Pending]) -> OpStream {
         stream.push(op);
     }
     stream
+}
+
+/// Writes the structured error frame answering a failed request into
+/// `out` (cleared first).
+fn encode_error_frame(version: u8, session: u64, request: u64, e: &ServerError, out: &mut Vec<u8>) {
+    let payload = wire::encode_error(e.code(), &e.to_string());
+    wire::encode_frame_into(version, MessageKind::Error, session, request, &payload, out);
 }
 
 /// Session-scoped park handle, so sessions can never read or clobber

@@ -46,6 +46,9 @@
 //!
 //! [`HeaxServer`]: crate::server::HeaxServer
 
+use heax_ckks::serialize::serialize_ciphertext_append;
+use heax_ckks::Ciphertext;
+
 use crate::error::{ErrorCode, ServerError};
 
 /// Frame magic: "HEAW" (HEAX wire) — distinct from the object-level
@@ -228,6 +231,33 @@ pub struct Frame<'a> {
 // Encoding
 // ---------------------------------------------------------------------
 
+/// Appends a frame header announcing `len` payload bytes.
+///
+/// # Panics
+///
+/// If `version` is not a known wire version — emitting undecodable
+/// frames is a caller bug, not an input condition.
+fn put_header(
+    out: &mut Vec<u8>,
+    version: u8,
+    kind: MessageKind,
+    session: u64,
+    request: u64,
+    len: u32,
+) {
+    // heax-lint: allow(L2) -- documented `# Panics` guard on an encode path; rejects caller bugs, not input
+    assert!(
+        (WIRE_V1..=WIRE_VERSION).contains(&version),
+        "unknown wire version {version}"
+    );
+    out.extend_from_slice(&FRAME_MAGIC);
+    out.push(version);
+    out.push(kind as u8);
+    out.extend_from_slice(&session.to_le_bytes());
+    out.extend_from_slice(&request.to_le_bytes());
+    out.extend_from_slice(&len.to_le_bytes());
+}
+
 /// Encodes a frame into a caller-provided buffer (cleared first).
 ///
 /// # Panics
@@ -242,18 +272,8 @@ pub fn encode_frame_into(
     payload: &[u8],
     out: &mut Vec<u8>,
 ) {
-    // heax-lint: allow(L2) -- documented `# Panics` guard on an encode path; rejects caller bugs, not input
-    assert!(
-        (WIRE_V1..=WIRE_VERSION).contains(&version),
-        "unknown wire version {version}"
-    );
     out.clear();
-    out.extend_from_slice(&FRAME_MAGIC);
-    out.push(version);
-    out.push(kind as u8);
-    out.extend_from_slice(&session.to_le_bytes());
-    out.extend_from_slice(&request.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    put_header(out, version, kind, session, request, payload.len() as u32);
     out.extend_from_slice(payload);
 }
 
@@ -346,9 +366,8 @@ pub fn encode_reply(body: &ReplyBody<'_>) -> Vec<u8> {
 }
 
 /// Encodes a complete [`MessageKind::Response`] frame — header, reply
-/// tag, and body written in one pass, so a megabyte ciphertext result
-/// is copied exactly once on the serving hot path (no intermediate
-/// payload buffer). `version` is echoed from the request frame.
+/// tag, and body written in one pass (no intermediate payload buffer).
+/// `version` is echoed from the request frame.
 ///
 /// # Panics
 ///
@@ -360,25 +379,62 @@ pub fn encode_response_frame(
     request: u64,
     body: &ReplyBody<'_>,
 ) -> Vec<u8> {
-    // heax-lint: allow(L2) -- documented `# Panics` guard on an encode path; rejects caller bugs, not input
-    assert!(
-        (WIRE_V1..=WIRE_VERSION).contains(&version),
-        "unknown wire version {version}"
-    );
+    let mut out = Vec::new();
+    encode_response_frame_into(version, session, request, body, &mut out);
+    out
+}
+
+/// [`encode_response_frame`] into a caller-provided buffer (cleared
+/// first).
+///
+/// # Panics
+///
+/// As [`encode_response_frame`].
+pub fn encode_response_frame_into(
+    version: u8,
+    session: u64,
+    request: u64,
+    body: &ReplyBody<'_>,
+    out: &mut Vec<u8>,
+) {
     let (tag, bytes): (u8, &[u8]) = match body {
         ReplyBody::Ciphertext(b) => (0, b),
         ReplyBody::Parked(name) => (1, name.as_bytes()),
     };
-    let mut out = Vec::with_capacity(FRAME_HEADER_LEN + 1 + bytes.len());
-    out.extend_from_slice(&FRAME_MAGIC);
-    out.push(version);
-    out.push(MessageKind::Response as u8);
-    out.extend_from_slice(&session.to_le_bytes());
-    out.extend_from_slice(&request.to_le_bytes());
-    out.extend_from_slice(&((1 + bytes.len()) as u32).to_le_bytes());
+    out.clear();
+    out.reserve(FRAME_HEADER_LEN + 1 + bytes.len());
+    let len = (1 + bytes.len()) as u32;
+    put_header(out, version, MessageKind::Response, session, request, len);
     out.push(tag);
     out.extend_from_slice(bytes);
-    out
+}
+
+/// A [`MessageKind::Response`] frame carrying `ct`, written into `out`
+/// (cleared first) with the ciphertext serialized straight after the
+/// header — byte-identical to [`encode_response_frame`] over
+/// [`heax_ckks::serialize::serialize_ciphertext`], without the
+/// intermediate serialized copy. This is how the server writes result
+/// replies: each result word is encoded into the frame once.
+///
+/// # Panics
+///
+/// As [`encode_response_frame`].
+pub fn encode_ciphertext_response_into(
+    version: u8,
+    session: u64,
+    request: u64,
+    ct: &Ciphertext,
+    out: &mut Vec<u8>,
+) {
+    out.clear();
+    put_header(out, version, MessageKind::Response, session, request, 0);
+    out.push(0);
+    serialize_ciphertext_append(ct, out);
+    // The payload length is known once the ciphertext is written.
+    let len = (out.len() - FRAME_HEADER_LEN) as u32;
+    if let Some(field) = out.get_mut(FRAME_HEADER_LEN - 4..FRAME_HEADER_LEN) {
+        field.copy_from_slice(&len.to_le_bytes());
+    }
 }
 
 /// Encodes an error payload: code + UTF-8 message.
@@ -831,6 +887,32 @@ mod tests {
                 assert_eq!(frame.version, version);
                 assert_eq!(decode_reply(frame.payload).unwrap(), body);
             }
+        }
+    }
+
+    #[test]
+    fn ciphertext_response_matches_encoding_the_serialized_bytes() {
+        let chain = heax_math::primes::generate_prime_chain(&[40, 40, 41], 64).unwrap();
+        let params = heax_ckks::CkksParams::new(64, chain, (1u64 << 30) as f64).unwrap();
+        let ctx = heax_ckks::CkksContext::new(params).unwrap();
+        let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(5);
+        let sk = heax_ckks::SecretKey::generate(&ctx, &mut rng);
+        let pt = heax_ckks::CkksEncoder::new(&ctx)
+            .encode_real(&[0.5, -1.0], ctx.params().scale(), ctx.max_level())
+            .unwrap();
+        let ct = heax_ckks::encrypt_symmetric(&ctx, &sk, &pt, &mut rng).unwrap();
+        let bytes = heax_ckks::serialize::serialize_ciphertext(&ct);
+        // Stale content in the reused buffer must be fully replaced.
+        let mut out = vec![0xAB; 7];
+        for version in [WIRE_V1, WIRE_V2] {
+            encode_ciphertext_response_into(version, 4, 12, &ct, &mut out);
+            let body = ReplyBody::Ciphertext(&bytes);
+            assert_eq!(out, encode_response_frame(version, 4, 12, &body));
+            encode_response_frame_into(version, 4, 12, &ReplyBody::Parked("h"), &mut out);
+            assert_eq!(
+                out,
+                encode_response_frame(version, 4, 12, &ReplyBody::Parked("h"))
+            );
         }
     }
 

@@ -14,7 +14,7 @@
 //! `HEAX_THREADS=4`.
 
 use std::collections::BTreeMap;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::TcpStream;
 
 use heax_ckks::serialize::{deserialize_ciphertext, serialize_ciphertext, serialize_galois_keys};
@@ -167,17 +167,13 @@ impl Conn {
     /// Reads whatever the server has written back, assembling frames.
     fn drain(&mut self, net: &mut NetServer<'_>) {
         let _ = net;
-        let mut buf = [0u8; 4096];
-        loop {
-            match self.stream.read(&mut buf) {
-                Ok(0) => break,
-                Ok(n) => self.asm.push(&buf[..n]),
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(_) => break,
+        while let Ok(n) = self.asm.read_from(&mut self.stream) {
+            if n == 0 {
+                break;
             }
         }
         while let Some(frame) = self.asm.next_frame().unwrap() {
-            self.replies.push(frame);
+            self.replies.push(frame.to_vec());
         }
     }
 

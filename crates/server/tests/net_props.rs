@@ -4,7 +4,8 @@
 //!   fuzz corpus, concatenated and delivered byte-at-a-time and in
 //!   random chunks, must come out of [`FrameAssembler`] byte-identical
 //!   to the input frames, with decoded requests identical to
-//!   whole-buffer decoding.
+//!   whole-buffer decoding — both when pushed and when read straight
+//!   into the assembler's buffer, as the socket runtime does.
 //! * **The session-key LRU** — under random interleavings of store /
 //!   restore / begin / end / remove, the DRAM budget is never
 //!   exceeded, a session with in-flight requests is never evicted, and
@@ -100,23 +101,63 @@ fn arb_corpus() -> impl Strategy<Value = Vec<(u8, usize, u64, u64, Vec<u8>)>> {
     )
 }
 
-/// Runs a fragmentation schedule over the concatenated corpus and
-/// checks the assembler's output against the original frames and
+/// A byte source that yields the stream in the schedule's chunk sizes,
+/// one chunk per `read` — a socket delivering fragments.
+struct Fragments<'a> {
+    stream: &'a [u8],
+    chunks: Vec<usize>,
+}
+
+impl std::io::Read for Fragments<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let want = self.chunks.pop().unwrap_or(1).max(1);
+        let n = want.min(buf.len()).min(self.stream.len());
+        let (head, rest) = self.stream.split_at(n);
+        buf[..n].copy_from_slice(head);
+        self.stream = rest;
+        Ok(n)
+    }
+}
+
+/// Runs a fragmentation schedule over the concatenated corpus, once
+/// pushing each chunk and once reading it straight into the assembler,
+/// and checks both outputs against the original frames and
 /// whole-buffer decoding.
 fn check_reassembly(frames: &[Vec<u8>], chunks: &mut dyn Iterator<Item = usize>) {
     let stream: Vec<u8> = frames.iter().flatten().copied().collect();
-    let mut asm = FrameAssembler::new();
-    let mut got = Vec::new();
+    let mut schedule = Vec::new();
     let mut off = 0;
     while off < stream.len() {
         let n = chunks.next().unwrap_or(1).clamp(1, stream.len() - off);
+        schedule.push(n);
+        off += n;
+    }
+
+    let mut asm = FrameAssembler::new();
+    let mut got = Vec::new();
+    let mut off = 0;
+    for &n in &schedule {
         asm.push(&stream[off..off + n]);
         off += n;
         while let Some(f) = asm.next_frame().expect("valid streams never error") {
-            got.push(f);
+            got.push(f.to_vec());
         }
     }
     assert_eq!(got, frames, "reassembled frames must be byte-identical");
+    assert_eq!(asm.buffered(), 0, "no residue after the last frame");
+
+    let mut src = Fragments {
+        stream: &stream,
+        chunks: schedule.iter().rev().copied().collect(),
+    };
+    let mut asm = FrameAssembler::new();
+    let mut read = Vec::new();
+    while asm.read_from(&mut src).expect("in-memory reads") > 0 {
+        while let Some(f) = asm.next_frame().expect("valid streams never error") {
+            read.push(f.to_vec());
+        }
+    }
+    assert_eq!(read, frames, "frames read in place must be byte-identical");
     assert_eq!(asm.buffered(), 0, "no residue after the last frame");
     // Decoded views are identical to whole-buffer decoding, request
     // bodies included.
