@@ -33,8 +33,9 @@ pub enum ErrorCode {
     Capacity = 6,
     /// The request is structurally valid but not supported.
     Unsupported = 7,
-    /// The request was shed: it could not be served within its
-    /// deadline budget and was dropped rather than queued forever.
+    /// The frame was shed rather than queued forever: its deadline
+    /// budget ran out during fault retries, the admission queue was at
+    /// its bound, or its session's keys could not be made resident.
     LoadShed = 8,
     /// The serving path is degraded: bounded retries were exhausted
     /// without a healthy completion.
@@ -115,6 +116,14 @@ pub enum ServerError {
         /// The per-request deadline budget, microseconds.
         budget_us: u64,
     },
+    /// The session's keys could not be made resident: even evicting
+    /// every idle session would not free enough of the key budget.
+    KeyResidency {
+        /// Bytes the session's keys need.
+        need: u64,
+        /// Bytes of the key budget that could be made free.
+        room: u64,
+    },
     /// The serving path is degraded: the bounded retry policy was
     /// exhausted without a healthy completion.
     Degraded {
@@ -150,7 +159,7 @@ impl ServerError {
             ServerError::Core(CoreError::DramFull { .. }) => ErrorCode::Capacity,
             ServerError::Core(_) => ErrorCode::Unsupported,
             ServerError::Unsupported { .. } => ErrorCode::Unsupported,
-            ServerError::LoadShed { .. } => ErrorCode::LoadShed,
+            ServerError::LoadShed { .. } | ServerError::KeyResidency { .. } => ErrorCode::LoadShed,
             ServerError::Degraded { .. } => ErrorCode::Degraded,
         }
     }
@@ -177,6 +186,10 @@ impl fmt::Display for ServerError {
             } => write!(
                 f,
                 "request shed: {spent_us} us spent of a {budget_us} us deadline budget"
+            ),
+            ServerError::KeyResidency { need, room } => write!(
+                f,
+                "session keys need {need} B of the key budget, at most {room} B can be freed"
             ),
             ServerError::Degraded { retries, reason } => {
                 write!(f, "degraded after {retries} retries: {reason}")
@@ -246,6 +259,10 @@ mod tests {
             }
             .code(),
             ErrorCode::Degraded
+        );
+        assert_eq!(
+            ServerError::KeyResidency { need: 2, room: 1 }.code(),
+            ErrorCode::LoadShed
         );
     }
 

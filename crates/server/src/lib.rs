@@ -3,14 +3,15 @@
 //! The serving layer of the HEAX reproduction — the paper's Figure 7
 //! deployment promoted from an example into a subsystem. A host
 //! receives serialized ciphertexts and evaluation keys from many
-//! clients over a framed, versioned wire protocol
-//! ([`wire`]), caches each session's keys with their Shoup tables
-//! rebuilt **once** ([`session`]), batches queued requests so shared
-//! work is amortized — one hoisted decomposition per rotated
-//! ciphertext, one reusable key-switch scratch, limbs dispatched
-//! through the `HEAX_THREADS` executor — and answers every failure
-//! with a structured error frame instead of dropping the session
-//! ([`server`]). Per-op and per-session counters surface as a
+//! clients over a framed, versioned wire protocol ([`wire`]), keeps
+//! each session's keys resident with their Shoup tables rebuilt
+//! **once** (budgeted in modeled board DRAM, evicted
+//! least-recently-used and rehydrated on demand), batches queued
+//! requests so shared work is amortized — one hoisted decomposition
+//! per rotated ciphertext, one reusable key-switch scratch, limbs
+//! dispatched through the `HEAX_THREADS` executor — and answers every
+//! failure with a structured error frame instead of dropping the
+//! session ([`server`]). Per-op and per-session counters surface as a
 //! [`ServerStats`] snapshot ([`metrics`]).
 //!
 //! The engine is transport-agnostic: frames in, frames out. Drive it
@@ -19,8 +20,8 @@
 //! epoll-based nonblocking TCP event loop (no tokio/mio; raw Linux
 //! syscalls behind the vendored `epoll` shim) that multiplexes
 //! thousands of concurrent sessions onto the batch scheduler, with
-//! admission-control backpressure, a DRAM-budgeted session-key LRU,
-//! and per-connection failure containment.
+//! admission-control backpressure and per-connection failure
+//! containment.
 //!
 //! Every flush lowers its requests into the shared op-stream IR of
 //! `heax_hw::ir` (rotation fusion is an IR pass), executes from the
@@ -148,6 +149,7 @@
 #![forbid(unsafe_code)]
 
 pub mod error;
+mod keys;
 pub mod metrics;
 pub mod net;
 pub mod server;
@@ -156,7 +158,7 @@ pub mod wire;
 
 pub use error::{ErrorCode, ServerError};
 pub use metrics::{ModeledBoardStats, ModeledClusterStats, OpStats, ServerStats, SessionStats};
-pub use net::{NetConfig, NetServer, NetStats, SessionKeyLru};
+pub use net::{NetConfig, NetServer, NetStats};
 pub use server::{FlushPolicy, HeaxServer};
 pub use session::SessionRegistry;
 pub use wire::{MessageKind, OpCode};

@@ -245,21 +245,21 @@ pub struct ServerStats {
     /// Wire-returned results modulus-switched down to one RNS limb
     /// because the request set the v2 compress-reply flag.
     pub compressed_replies: u64,
-    /// Requests answered with a load-shed error because their deadline
-    /// budget ran out before they could be served.
+    /// Frames the engine answered with a load-shed error: requests whose
+    /// deadline budget ran out before they could be served, and
+    /// requests or key registrations whose session's keys could not be
+    /// made resident under the key budget.
     pub shed_requests: u64,
     /// Requests answered with a degraded error after the bounded retry
     /// policy was exhausted.
     pub degraded_replies: u64,
     /// Execution retries attempted under the flush retry policy.
     pub retries: u64,
-    /// Sessions whose cached (Shoup-ready) keys were evicted from the
-    /// modeled DRAM key cache under budget pressure (see
-    /// `HeaxServer::evict_session_keys` and `heax_server::net`'s LRU).
+    /// Sessions whose resident (Shoup-ready) keys were evicted to their
+    /// serialized form under the modeled-DRAM key budget.
     pub key_evictions: u64,
-    /// Key registrations that re-uploaded a previously evicted
-    /// session's keys (the evict + re-register-on-miss cycle of the
-    /// transport-layer key cache).
+    /// Evicted sessions made resident again — rehydrated from their
+    /// serialized keys by a request or a key registration.
     pub key_reregistrations: u64,
     /// Results currently parked in board DRAM.
     pub parked_entries: usize,
@@ -316,8 +316,6 @@ pub(crate) struct Metrics {
     pub(crate) shed_requests: u64,
     pub(crate) degraded_replies: u64,
     pub(crate) retries: u64,
-    pub(crate) key_evictions: u64,
-    pub(crate) key_reregistrations: u64,
     pub(crate) per_op: [OpStats; OpCode::ALL.len()],
 }
 

@@ -45,21 +45,11 @@
 //! (its write buffer exceeding [`NetConfig::max_write_buffer`]) is
 //! dropped rather than allowed to wedge the loop.
 //!
-//! ## The session-key LRU
-//!
-//! Cached, Shoup-ready session keys live in modeled board DRAM, and
-//! DRAM is finite ([`heax_core::HeaxSystem::dram_capacity_bytes`]).
-//! [`SessionKeyLru`] bounds the resident key bytes: registrations
-//! stash the serialized key payload host-side and make the session
-//! *resident* (billed against the budget), evicting the
-//! least-recently-used idle session when space runs out — the evicted
-//! session's deserialized keys are dropped from the inner server
-//! ([`HeaxServer::evict_session_keys`]) and transparently re-registered
-//! from the host-side copy on that session's next request. Sessions
-//! with in-flight (queued) requests are never evicted. Evictions and
-//! re-registrations are billed through
-//! [`ServerStats`](crate::ServerStats) (`key_evictions`,
-//! `key_reregistrations`).
+//! Key residency is not the transport's concern: the engine budgets
+//! resident session keys in modeled board DRAM, evicts and rehydrates
+//! them itself, and answers key-residency pressure with the same
+//! `LoadShed` frame. [`NetConfig::key_cache_budget`] only sizes that
+//! budget.
 //!
 //! ## Failure containment
 //!
@@ -336,308 +326,6 @@ impl FrameAssembler {
 }
 
 // ---------------------------------------------------------------------
-// Session-key LRU
-// ---------------------------------------------------------------------
-
-/// Which evaluation key a cached payload is.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum KeyKind {
-    /// A relinearization key (`RegisterRelinKey` payload).
-    Relin,
-    /// A Galois key set (`RegisterGaloisKeys` payload).
-    Galois,
-}
-
-/// Why the key cache could not make a session resident.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum KeyCacheError {
-    /// This session's keys alone exceed the whole budget; no eviction
-    /// schedule can ever admit them.
-    EntryExceedsBudget {
-        /// Bytes the session's keys need.
-        need: u64,
-        /// The cache's total budget.
-        budget: u64,
-    },
-    /// Every resident session is protected by in-flight requests;
-    /// nothing can be evicted right now. The caller sheds the request
-    /// and the client retries after the batch drains.
-    CachePressure {
-        /// Bytes the session's keys need.
-        need: u64,
-        /// Bytes currently free under the budget.
-        free: u64,
-    },
-}
-
-impl std::fmt::Display for KeyCacheError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            KeyCacheError::EntryExceedsBudget { need, budget } => {
-                write!(
-                    f,
-                    "session keys need {need} B, over the {budget} B DRAM budget"
-                )
-            }
-            KeyCacheError::CachePressure { need, free } => write!(
-                f,
-                "key cache under pressure: {need} B needed, {free} B free, all residents in flight"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for KeyCacheError {}
-
-/// One session's cached key material.
-#[derive(Debug, Default)]
-struct KeyEntry {
-    /// Serialized relin-key payload, kept host-side for re-registration.
-    rlk: Option<Vec<u8>>,
-    /// Serialized Galois-keys payload, kept host-side.
-    gks: Option<Vec<u8>>,
-    /// Whether the deserialized (Shoup-ready) keys are DRAM-resident in
-    /// the inner server right now.
-    resident: bool,
-    /// LRU clock stamp of the last touch.
-    last_touch: u64,
-    /// Requests queued (submitted, not yet flushed) for this session.
-    inflight: u64,
-}
-
-impl KeyEntry {
-    fn bytes(&self) -> u64 {
-        self.rlk.as_ref().map_or(0, |b| b.len() as u64)
-            + self.gks.as_ref().map_or(0, |b| b.len() as u64)
-    }
-}
-
-/// An LRU cache bounding the modeled DRAM bytes held by resident
-/// session keys.
-///
-/// The serialized payloads are the billing proxy for the deserialized
-/// keys' DRAM footprint (same polynomial data, minus the rebuilt Shoup
-/// tables — a consistent under-approximation). Host-side copies are
-/// always kept; only *residency* is budgeted. Invariants, pinned by
-/// the `net_props` proptests:
-///
-/// * resident bytes never exceed the budget;
-/// * a session with in-flight requests is never evicted;
-/// * a re-registered (evicted, then restored) session serves from
-///   byte-identical key material, so its Shoup tables rebuild
-///   bit-identical.
-#[derive(Debug)]
-pub struct SessionKeyLru {
-    budget: u64,
-    resident_bytes: u64,
-    clock: u64,
-    entries: HashMap<u64, KeyEntry>,
-}
-
-impl SessionKeyLru {
-    /// A cache with the given byte budget.
-    pub fn new(budget: u64) -> Self {
-        SessionKeyLru {
-            budget,
-            resident_bytes: 0,
-            clock: 0,
-            entries: HashMap::new(),
-        }
-    }
-
-    /// The configured byte budget.
-    pub fn budget(&self) -> u64 {
-        self.budget
-    }
-
-    /// Bytes currently billed as resident.
-    pub fn resident_bytes(&self) -> u64 {
-        self.resident_bytes
-    }
-
-    /// Number of sessions currently resident.
-    pub fn resident_sessions(&self) -> usize {
-        self.entries.values().filter(|e| e.resident).count()
-    }
-
-    /// Whether the session has any cached key material.
-    pub fn has_entry(&self, session: u64) -> bool {
-        self.entries.contains_key(&session)
-    }
-
-    /// Whether the session's keys are resident.
-    pub fn is_resident(&self, session: u64) -> bool {
-        self.entries.get(&session).is_some_and(|e| e.resident)
-    }
-
-    /// Bumps the session's LRU stamp.
-    pub fn touch(&mut self, session: u64) {
-        self.clock += 1;
-        let clock = self.clock;
-        if let Some(e) = self.entries.get_mut(&session) {
-            e.last_touch = clock;
-        }
-    }
-
-    /// Marks one request of this session queued (eviction-protected).
-    pub fn begin_request(&mut self, session: u64) {
-        if let Some(e) = self.entries.get_mut(&session) {
-            e.inflight = e.inflight.saturating_add(1);
-        }
-    }
-
-    /// Marks one request of this session answered.
-    pub fn end_request(&mut self, session: u64) {
-        if let Some(e) = self.entries.get_mut(&session) {
-            e.inflight = e.inflight.saturating_sub(1);
-        }
-    }
-
-    /// Stores (or replaces) one serialized key payload for a session
-    /// and makes the session resident, evicting idle sessions as
-    /// needed. Returns the evicted session ids — the caller must drop
-    /// those sessions' keys from the inner server.
-    ///
-    /// # Errors
-    ///
-    /// [`KeyCacheError`] when residency is impossible; the payload is
-    /// **not** kept (registration failed from the client's view) and a
-    /// previously-resident session is left *evicted*. The caller drops
-    /// the session's engine-side keys on this path, so advertising
-    /// residency here would desynchronize cache and engine — staying
-    /// evicted makes the pre-upload keys come back through
-    /// [`SessionKeyLru::restore`] instead.
-    pub fn store(
-        &mut self,
-        session: u64,
-        kind: KeyKind,
-        payload: &[u8],
-    ) -> Result<Vec<u64>, KeyCacheError> {
-        // Take the entry off-budget while its contents change.
-        let entry = self.entries.entry(session).or_default();
-        if entry.resident {
-            self.resident_bytes -= entry.bytes();
-            entry.resident = false;
-        }
-        let slot = match kind {
-            KeyKind::Relin => &mut entry.rlk,
-            KeyKind::Galois => &mut entry.gks,
-        };
-        let previous = slot.replace(payload.to_vec());
-        match self.make_resident(session) {
-            Ok(evicted) => Ok(evicted),
-            Err(e) => {
-                // Roll the slot back so a rejected upload leaves no
-                // half-registered state behind. Residency is NOT
-                // restored (see Errors above).
-                if let Some(entry) = self.entries.get_mut(&session) {
-                    let slot = match kind {
-                        KeyKind::Relin => &mut entry.rlk,
-                        KeyKind::Galois => &mut entry.gks,
-                    };
-                    *slot = previous;
-                    if entry.bytes() == 0 {
-                        self.entries.remove(&session);
-                    }
-                }
-                Err(e)
-            }
-        }
-    }
-
-    /// Makes an evicted session resident again, returning the sessions
-    /// evicted to make room and the host-side payloads to re-register
-    /// (in registration order: relin first, then Galois). A session
-    /// with no cached keys restores trivially (empty payload list).
-    ///
-    /// # Errors
-    ///
-    /// [`KeyCacheError`] when residency is impossible right now; the
-    /// caller sheds the triggering request.
-    #[allow(clippy::type_complexity)]
-    pub fn restore(
-        &mut self,
-        session: u64,
-    ) -> Result<(Vec<u64>, Vec<(KeyKind, Vec<u8>)>), KeyCacheError> {
-        if !self.entries.contains_key(&session) {
-            return Ok((Vec::new(), Vec::new()));
-        }
-        if self.is_resident(session) {
-            self.touch(session);
-            return Ok((Vec::new(), Vec::new()));
-        }
-        let evicted = self.make_resident(session)?;
-        let entry = &self.entries[&session];
-        let mut payloads = Vec::new();
-        if let Some(b) = &entry.rlk {
-            payloads.push((KeyKind::Relin, b.clone()));
-        }
-        if let Some(b) = &entry.gks {
-            payloads.push((KeyKind::Galois, b.clone()));
-        }
-        Ok((evicted, payloads))
-    }
-
-    /// Drops a session's cached keys entirely (session closed),
-    /// releasing its resident bytes.
-    pub fn remove(&mut self, session: u64) {
-        if let Some(e) = self.entries.remove(&session) {
-            if e.resident {
-                self.resident_bytes -= e.bytes();
-            }
-        }
-    }
-
-    /// Charges `session`'s entry to the budget, evicting
-    /// least-recently-touched idle sessions first. Eviction is
-    /// all-or-nothing: the victim schedule is computed before anything
-    /// is evicted, so a failure leaves the cache untouched.
-    fn make_resident(&mut self, session: u64) -> Result<Vec<u64>, KeyCacheError> {
-        let need = self.entries.get(&session).map_or(0, KeyEntry::bytes);
-        if need > self.budget {
-            return Err(KeyCacheError::EntryExceedsBudget {
-                need,
-                budget: self.budget,
-            });
-        }
-        // Victims: resident, idle, not the session itself, oldest first.
-        let mut candidates: Vec<(u64, u64, u64)> = self
-            .entries
-            .iter()
-            .filter(|&(&id, e)| id != session && e.resident && e.inflight == 0)
-            .map(|(&id, e)| (e.last_touch, id, e.bytes()))
-            .collect();
-        candidates.sort_unstable();
-        let mut freed = 0u64;
-        let mut victims = Vec::new();
-        for &(_, id, bytes) in &candidates {
-            if self.resident_bytes - freed + need <= self.budget {
-                break;
-            }
-            freed += bytes;
-            victims.push(id);
-        }
-        if self.resident_bytes - freed + need > self.budget {
-            return Err(KeyCacheError::CachePressure {
-                need,
-                free: self.budget - self.resident_bytes,
-            });
-        }
-        for &id in &victims {
-            if let Some(e) = self.entries.get_mut(&id) {
-                e.resident = false;
-            }
-        }
-        self.resident_bytes = self.resident_bytes - freed + need;
-        if let Some(e) = self.entries.get_mut(&session) {
-            e.resident = true;
-        }
-        self.touch(session);
-        Ok(victims)
-    }
-}
-
-// ---------------------------------------------------------------------
 // Configuration and counters
 // ---------------------------------------------------------------------
 
@@ -665,8 +353,8 @@ pub struct NetConfig {
     /// Per-frame payload cap fed to each connection's
     /// [`FrameAssembler`].
     pub max_frame_payload: u32,
-    /// Byte budget of the [`SessionKeyLru`]; `0` derives one eighth of
-    /// the modeled board's free DRAM at bind time.
+    /// Byte budget of the engine's resident session keys; `0` keeps the
+    /// engine's default of one eighth of the modeled board's free DRAM.
     pub key_cache_budget: u64,
     /// Flush the batch queue as soon as this many requests are pending.
     pub flush_threshold: usize,
@@ -718,8 +406,9 @@ pub struct NetStats {
     pub bytes_in: u64,
     /// Bytes written to sockets.
     pub bytes_out: u64,
-    /// Requests answered with a load-shed error at admission (queue
-    /// bound or key-cache pressure).
+    /// Requests answered with a load-shed error at the admission queue
+    /// bound (the engine's own sheds count in
+    /// [`ServerStats::shed_requests`](crate::ServerStats::shed_requests)).
     pub admission_sheds: u64,
     /// Flushes the runtime triggered.
     pub flushes: u64,
@@ -727,11 +416,11 @@ pub struct NetStats {
     pub replies_routed: u64,
     /// Replies whose connection died before the batch finished.
     pub orphaned_replies: u64,
-    /// Sessions evicted from the key LRU (billed in the inner server's
-    /// `key_evictions` too).
+    /// Sessions whose keys the engine evicted (its
+    /// [`ServerStats::key_evictions`](crate::ServerStats::key_evictions)).
     pub key_evictions: u64,
-    /// Evicted sessions transparently re-registered on their next
-    /// request.
+    /// Evicted sessions the engine made resident again (its
+    /// [`ServerStats::key_reregistrations`](crate::ServerStats::key_reregistrations)).
     pub key_restores: u64,
     /// Most connections ever open at once.
     pub conns_high_water: u64,
@@ -757,14 +446,6 @@ pub struct NetTick {
 // The event loop
 // ---------------------------------------------------------------------
 
-/// Routing record for one queued request: which connection gets the
-/// reply that [`HeaxServer::flush`] will emit at this queue position.
-#[derive(Clone, Copy, Debug)]
-struct Route {
-    token: u64,
-    session: u64,
-}
-
 /// Per-connection state machine.
 #[derive(Debug)]
 struct Conn {
@@ -786,8 +467,8 @@ pub struct NetServer<'a> {
     events: Vec<epoll::Event>,
     conns: HashMap<u64, Conn>,
     next_token: u64,
-    pending: VecDeque<Route>,
-    keys: SessionKeyLru,
+    /// Connection token owed the reply at each queue position.
+    pending: VecDeque<u64>,
     config: NetConfig,
     stats: NetStats,
     inner: HeaxServer<'a>,
@@ -801,16 +482,14 @@ impl<'a> NetServer<'a> {
     /// # Errors
     ///
     /// Socket or poller creation failure.
-    pub fn bind(addr: &str, inner: HeaxServer<'a>, config: NetConfig) -> io::Result<Self> {
+    pub fn bind(addr: &str, mut inner: HeaxServer<'a>, config: NetConfig) -> io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let poller = epoll::Poller::new()?;
         poller.add(listener.as_raw_fd(), LISTENER_TOKEN, epoll::READABLE)?;
-        let budget = if config.key_cache_budget == 0 {
-            inner.system().dram_available_bytes() / 8
-        } else {
-            config.key_cache_budget
-        };
+        if config.key_cache_budget != 0 {
+            inner.set_key_budget(config.key_cache_budget);
+        }
         Ok(NetServer {
             listener,
             poller,
@@ -818,7 +497,6 @@ impl<'a> NetServer<'a> {
             conns: HashMap::new(),
             next_token: LISTENER_TOKEN + 1,
             pending: VecDeque::new(),
-            keys: SessionKeyLru::new(budget),
             config,
             stats: NetStats::default(),
             inner,
@@ -846,14 +524,14 @@ impl<'a> NetServer<'a> {
         &mut self.inner
     }
 
-    /// The session-key LRU (inspection).
-    pub fn key_cache(&self) -> &SessionKeyLru {
-        &self.keys
-    }
-
     /// A snapshot of the runtime counters.
     pub fn stats(&self) -> NetStats {
-        self.stats
+        let (key_evictions, key_restores) = self.inner.key_counters();
+        NetStats {
+            key_evictions,
+            key_restores,
+            ..self.stats
+        }
     }
 
     /// Connections currently open.
@@ -922,7 +600,6 @@ impl<'a> NetServer<'a> {
         let NetServer {
             inner,
             pending,
-            keys,
             conns,
             poller,
             stats,
@@ -933,11 +610,10 @@ impl<'a> NetServer<'a> {
         let replies = inner.flush_with(|reply| {
             // One route per queued request, submission order — the
             // flush contract.
-            let Some(route) = pending.pop_front() else {
+            let Some(token) = pending.pop_front() else {
                 return;
             };
-            keys.end_request(route.session);
-            if enqueue_reply(conns, poller, stats, config, route.token, reply) {
+            if enqueue_reply(conns, poller, stats, config, token, reply) {
                 routed += 1;
                 stats.replies_routed = stats.replies_routed.saturating_add(1);
             }
@@ -1065,143 +741,29 @@ impl<'a> NetServer<'a> {
         count
     }
 
-    /// Routes one complete frame: key registrations pass through the
-    /// LRU, requests pass admission control, everything else goes
-    /// straight to the engine.
+    /// Routes one complete frame: requests pass admission control, and
+    /// every frame goes to the engine.
     fn dispatch(&mut self, token: u64, frame: &[u8]) {
-        let Ok(decoded) = wire::decode_frame(frame) else {
-            // Well-framed but undecodable (bad version/kind): the
-            // engine answers a structured error; the connection lives.
-            if let Some(reply) = self.inner.handle_frame(frame) {
+        if let Ok(f) = wire::decode_frame(frame) {
+            let depth = self.inner.queue_depth();
+            if f.kind == MessageKind::Request && depth >= self.config.max_queue_depth {
+                self.stats.admission_sheds = self.stats.admission_sheds.saturating_add(1);
+                let msg = format!(
+                    "queue depth {depth} at the {}-request admission bound",
+                    self.config.max_queue_depth
+                );
+                let shed = self.shed_frame(f.version, f.session, f.request, &msg);
+                self.enqueue_reply(token, &shed);
+                return;
+            }
+        }
+        // Undecodable frames are answered with a structured error by
+        // the engine; the connection lives.
+        match self.inner.handle_frame(frame) {
+            None => self.pending.push_back(token),
+            Some(reply) => {
                 self.enqueue_reply(token, &reply);
             }
-            return;
-        };
-        let (version, kind, session, request) = (
-            decoded.version,
-            decoded.kind,
-            decoded.session,
-            decoded.request,
-        );
-        match kind {
-            MessageKind::RegisterRelinKey | MessageKind::RegisterGaloisKeys => {
-                let key_kind = if kind == MessageKind::RegisterRelinKey {
-                    KeyKind::Relin
-                } else {
-                    KeyKind::Galois
-                };
-                let payload = decoded.payload.to_vec();
-                let Some(reply) = self.inner.handle_frame(frame) else {
-                    return;
-                };
-                let registered = wire::decode_frame(&reply)
-                    .map(|f| f.kind == MessageKind::KeyRegistered)
-                    .unwrap_or(false);
-                if !registered {
-                    self.enqueue_reply(token, &reply);
-                    return;
-                }
-                match self.keys.store(session, key_kind, &payload) {
-                    Ok(evicted) => {
-                        self.apply_evictions(&evicted);
-                        self.enqueue_reply(token, &reply);
-                    }
-                    Err(e) => {
-                        // The cache can't hold these keys resident, so
-                        // the registration must fail: drop them from
-                        // the engine again and shed. store() left the
-                        // session evicted, so immediately re-seat the
-                        // pre-upload keys (if any) — queued requests
-                        // for this session still need them engine-side;
-                        // if even that fails under pressure, the next
-                        // request retries through the restore path.
-                        let _ = self.inner.evict_session_keys(session);
-                        if self.keys.has_entry(session) {
-                            let _ = self.restore_session_keys(session);
-                        }
-                        self.stats.admission_sheds = self.stats.admission_sheds.saturating_add(1);
-                        let shed = self.shed_frame(version, session, request, &e.to_string());
-                        self.enqueue_reply(token, &shed);
-                    }
-                }
-            }
-            MessageKind::Request => {
-                if self.inner.queue_depth() >= self.config.max_queue_depth {
-                    self.stats.admission_sheds = self.stats.admission_sheds.saturating_add(1);
-                    let msg = format!(
-                        "queue depth {} at the {}-request admission bound",
-                        self.inner.queue_depth(),
-                        self.config.max_queue_depth
-                    );
-                    let shed = self.shed_frame(version, session, request, &msg);
-                    self.enqueue_reply(token, &shed);
-                    return;
-                }
-                if self.keys.has_entry(session) && !self.keys.is_resident(session) {
-                    if let Err(e) = self.restore_session_keys(session) {
-                        self.stats.admission_sheds = self.stats.admission_sheds.saturating_add(1);
-                        let shed = self.shed_frame(version, session, request, &e.to_string());
-                        self.enqueue_reply(token, &shed);
-                        return;
-                    }
-                }
-                match self.inner.handle_frame(frame) {
-                    None => {
-                        self.pending.push_back(Route { token, session });
-                        self.keys.begin_request(session);
-                        self.keys.touch(session);
-                    }
-                    Some(reply) => {
-                        self.enqueue_reply(token, &reply);
-                    }
-                }
-            }
-            MessageKind::CloseSession => {
-                if let Some(reply) = self.inner.handle_frame(frame) {
-                    let closed = wire::decode_frame(&reply)
-                        .map(|f| f.kind == MessageKind::SessionClosed)
-                        .unwrap_or(false);
-                    if closed {
-                        self.keys.remove(session);
-                    }
-                    self.enqueue_reply(token, &reply);
-                }
-            }
-            _ => {
-                if let Some(reply) = self.inner.handle_frame(frame) {
-                    self.enqueue_reply(token, &reply);
-                }
-            }
-        }
-    }
-
-    /// Re-seats an evicted session's host-cached keys into the engine:
-    /// makes the session resident (evicting idle victims) and replays
-    /// the stored registrations. Replies to these transparent
-    /// re-uploads are the runtime's business, not the client's; they
-    /// are dropped.
-    fn restore_session_keys(&mut self, session: u64) -> Result<(), KeyCacheError> {
-        let (evicted, payloads) = self.keys.restore(session)?;
-        self.apply_evictions(&evicted);
-        for (key_kind, bytes) in payloads {
-            let reg = match key_kind {
-                KeyKind::Relin => wire::client::register_relin_key(session, &bytes),
-                KeyKind::Galois => wire::client::register_galois_keys(session, &bytes),
-            };
-            let _ = self.inner.handle_frame(&reg);
-        }
-        self.stats.key_restores = self.stats.key_restores.saturating_add(1);
-        Ok(())
-    }
-
-    /// Drops the named sessions' deserialized keys from the engine and
-    /// bills the evictions.
-    fn apply_evictions(&mut self, evicted: &[u64]) {
-        for &victim in evicted {
-            // The session may have closed since; the cache entry is
-            // gone either way.
-            let _ = self.inner.evict_session_keys(victim);
-            self.stats.key_evictions = self.stats.key_evictions.saturating_add(1);
         }
     }
 
@@ -1450,114 +1012,6 @@ mod tests {
         assert_eq!(asm.next_frame().unwrap(), None);
         asm.push(&frame[FRAME_HEADER_LEN - 1..]);
         assert_eq!(asm.next_frame().unwrap(), Some(frame.as_slice()));
-    }
-
-    // ----- SessionKeyLru -----
-
-    #[test]
-    fn lru_budget_is_a_hard_bound() {
-        let mut lru = SessionKeyLru::new(100);
-        assert_eq!(lru.store(1, KeyKind::Galois, &[0; 60]).unwrap(), vec![]);
-        assert_eq!(lru.resident_bytes(), 60);
-        // Session 2 fits only by evicting session 1 (LRU victim).
-        assert_eq!(lru.store(2, KeyKind::Galois, &[0; 60]).unwrap(), vec![1]);
-        assert_eq!(lru.resident_bytes(), 60);
-        assert!(!lru.is_resident(1));
-        assert!(lru.is_resident(2));
-        // A single entry over the whole budget is refused outright.
-        assert_eq!(
-            lru.store(3, KeyKind::Galois, &[0; 101]),
-            Err(KeyCacheError::EntryExceedsBudget {
-                need: 101,
-                budget: 100
-            })
-        );
-        assert!(!lru.has_entry(3), "rejected upload leaves no state");
-        assert_eq!(lru.resident_bytes(), 60);
-    }
-
-    #[test]
-    fn lru_never_evicts_inflight_sessions() {
-        let mut lru = SessionKeyLru::new(100);
-        lru.store(1, KeyKind::Galois, &[0; 60]).unwrap();
-        lru.begin_request(1);
-        // Session 2 cannot fit without evicting 1, and 1 is protected.
-        assert!(matches!(
-            lru.store(2, KeyKind::Galois, &[0; 60]),
-            Err(KeyCacheError::CachePressure { .. })
-        ));
-        assert!(lru.is_resident(1));
-        lru.end_request(1);
-        assert_eq!(lru.store(2, KeyKind::Galois, &[0; 60]).unwrap(), vec![1]);
-    }
-
-    #[test]
-    fn lru_failed_store_leaves_prior_session_evicted_but_restorable() {
-        let mut lru = SessionKeyLru::new(100);
-        lru.store(1, KeyKind::Relin, &[7; 40]).unwrap();
-        assert!(lru.is_resident(1));
-        // Replacing the key with one that can never fit fails the
-        // store...
-        assert!(matches!(
-            lru.store(1, KeyKind::Relin, &[0; 101]),
-            Err(KeyCacheError::EntryExceedsBudget { .. })
-        ));
-        // ...keeps the pre-upload payload host-side but leaves the
-        // session evicted — the caller drops its engine keys on this
-        // path, so residency here would desynchronize cache and
-        // engine...
-        assert!(lru.has_entry(1));
-        assert!(!lru.is_resident(1));
-        assert_eq!(lru.resident_bytes(), 0);
-        // ...and a restore re-seats exactly the pre-upload payload.
-        let (evicted, payloads) = lru.restore(1).unwrap();
-        assert!(evicted.is_empty());
-        assert_eq!(payloads, vec![(KeyKind::Relin, vec![7; 40])]);
-        assert!(lru.is_resident(1));
-        assert_eq!(lru.resident_bytes(), 40);
-    }
-
-    #[test]
-    fn lru_restore_returns_stored_payloads_in_registration_order() {
-        let mut lru = SessionKeyLru::new(100);
-        lru.store(1, KeyKind::Relin, &[1, 2, 3]).unwrap();
-        lru.store(1, KeyKind::Galois, &[4, 5]).unwrap();
-        lru.store(2, KeyKind::Galois, &[0; 97]).unwrap(); // evicts 1
-        assert!(!lru.is_resident(1));
-        let (evicted, payloads) = lru.restore(1).unwrap();
-        assert_eq!(evicted, vec![2]);
-        assert_eq!(
-            payloads,
-            vec![
-                (KeyKind::Relin, vec![1, 2, 3]),
-                (KeyKind::Galois, vec![4, 5])
-            ]
-        );
-        assert!(lru.is_resident(1));
-        // Restoring a resident session (or one with no entry) is a
-        // cheap no-op.
-        assert_eq!(lru.restore(1).unwrap(), (vec![], vec![]));
-        assert_eq!(lru.restore(777).unwrap(), (vec![], vec![]));
-    }
-
-    #[test]
-    fn lru_remove_releases_bytes() {
-        let mut lru = SessionKeyLru::new(100);
-        lru.store(1, KeyKind::Galois, &[0; 80]).unwrap();
-        lru.remove(1);
-        assert_eq!(lru.resident_bytes(), 0);
-        assert_eq!(lru.resident_sessions(), 0);
-        lru.store(2, KeyKind::Galois, &[0; 100]).unwrap();
-        assert_eq!(lru.resident_bytes(), 100);
-    }
-
-    #[test]
-    fn lru_eviction_order_is_least_recently_touched() {
-        let mut lru = SessionKeyLru::new(100);
-        lru.store(1, KeyKind::Galois, &[0; 40]).unwrap();
-        lru.store(2, KeyKind::Galois, &[0; 40]).unwrap();
-        lru.touch(1); // 2 is now the LRU victim
-        assert_eq!(lru.store(3, KeyKind::Galois, &[0; 40]).unwrap(), vec![2]);
     }
 
     #[test]

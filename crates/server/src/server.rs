@@ -76,6 +76,7 @@ use heax_hw::scheduler::{PipelineConfig, PipelineReport};
 use heax_math::exec::Executor;
 
 use crate::error::ServerError;
+use crate::keys::{KeyStore, NewKey};
 use crate::metrics::{Metrics, ModeledBoardStats, ModeledClusterStats, ServerStats, SessionStats};
 use crate::session::SessionRegistry;
 use crate::wire::{self, Frame, MessageKind, OpCode, ReplyBody, WireOperand};
@@ -202,6 +203,7 @@ pub struct HeaxServer<'a> {
     eval: Evaluator<'a>,
     system: HeaxSystem<'a>,
     sessions: SessionRegistry,
+    keys: KeyStore,
     queue: VecDeque<Pending>,
     metrics: Metrics,
     board_model: Option<BoardModel>,
@@ -229,11 +231,13 @@ impl<'a> HeaxServer<'a> {
 
     /// Builds a server around an explicit host+board system (small test
     /// rings construct their accelerator via
-    /// [`HeaxAccelerator::with_arch`]).
+    /// [`HeaxAccelerator::with_arch`]). Resident session keys are
+    /// budgeted at one eighth of the board's free DRAM.
     pub fn with_system(ctx: &'a CkksContext, system: HeaxSystem<'a>) -> Self {
         Self {
             ctx,
             eval: Evaluator::new(ctx),
+            keys: KeyStore::new(system.dram_available_bytes() / 8),
             system,
             sessions: SessionRegistry::default(),
             queue: VecDeque::new(),
@@ -413,7 +417,9 @@ impl<'a> HeaxServer<'a> {
     /// frames are queued for the next [`HeaxServer::flush`] and return
     /// `None`. Any failure — including bytes that don't decode as a
     /// frame at all — is answered with an error frame rather than by
-    /// dropping state.
+    /// dropping state. A key registration or request whose session's
+    /// keys cannot be made resident under the key budget (sessions with
+    /// queued requests are never evicted) is answered `LoadShed`.
     pub fn handle_frame(&mut self, bytes: &[u8]) -> Option<Vec<u8>> {
         self.metrics.frames_in = self.metrics.frames_in.saturating_add(1);
         self.metrics.bytes_in = self.metrics.bytes_in.saturating_add(bytes.len() as u64);
@@ -432,8 +438,14 @@ impl<'a> HeaxServer<'a> {
         match outcome {
             Ok(reply) => reply.inspect(|frame| self.note_out(session, frame)),
             Err(e) => {
-                if matches!(e, ServerError::Malformed { .. }) {
-                    self.metrics.decode_errors = self.metrics.decode_errors.saturating_add(1);
+                match e {
+                    ServerError::Malformed { .. } => {
+                        self.metrics.decode_errors = self.metrics.decode_errors.saturating_add(1);
+                    }
+                    ServerError::KeyResidency { .. } => {
+                        self.metrics.shed_requests = self.metrics.shed_requests.saturating_add(1);
+                    }
+                    _ => {}
                 }
                 if let Ok(sess) = self.sessions.get_mut(session) {
                     sess.stats.errors = sess.stats.errors.saturating_add(1);
@@ -456,29 +468,28 @@ impl<'a> HeaxServer<'a> {
                     &[],
                 )))
             }
-            MessageKind::RegisterRelinKey => {
+            MessageKind::RegisterRelinKey | MessageKind::RegisterGaloisKeys => {
                 // Session first: key parsing (a Shoup-table rebuild) is
                 // exactly the cost a bogus session id must not be able
                 // to bill the server for.
                 self.sessions.get(frame.session)?;
                 // Deserialize (rebuilding Shoup tables) once; every later
-                // request of this session hits the cache.
-                let rlk = deserialize_relin_key(frame.payload, self.ctx)?;
-                self.note_key_registration(frame.session);
-                self.sessions.get_mut(frame.session)?.rlk = Some(rlk);
-                Ok(Some(wire::encode_frame(
-                    frame.version,
-                    MessageKind::KeyRegistered,
+                // request of this session hits the resident key.
+                let key = if frame.kind == MessageKind::RegisterRelinKey {
+                    NewKey::Relin(deserialize_relin_key(frame.payload, self.ctx)?)
+                } else {
+                    NewKey::Galois(deserialize_galois_keys(frame.payload, self.ctx)?)
+                };
+                let bytes = frame.payload.len() as u64;
+                let busy = queued(&self.queue);
+                self.keys.register(
+                    self.ctx,
+                    &mut self.sessions,
                     frame.session,
-                    frame.request,
-                    &[],
-                )))
-            }
-            MessageKind::RegisterGaloisKeys => {
-                self.sessions.get(frame.session)?;
-                let gks = deserialize_galois_keys(frame.payload, self.ctx)?;
-                self.note_key_registration(frame.session);
-                self.sessions.get_mut(frame.session)?.gks = Some(gks);
+                    key,
+                    bytes,
+                    busy,
+                )?;
                 Ok(Some(wire::encode_frame(
                     frame.version,
                     MessageKind::KeyRegistered,
@@ -493,6 +504,7 @@ impl<'a> HeaxServer<'a> {
             }
             MessageKind::CloseSession => {
                 let closed = self.sessions.close(frame.session)?;
+                self.keys.release(&closed.keys);
                 for name in &closed.parked {
                     self.system.remove(&scoped(frame.session, name));
                 }
@@ -538,8 +550,14 @@ impl<'a> HeaxServer<'a> {
                 WireOperand::Parked(name) => Operand::Parked((*name).to_string()),
             });
         }
+        // An evicted session's keys come back before its request queues;
+        // once queued, the session is never evicted.
+        let busy = queued(&self.queue);
+        self.keys
+            .rehydrate(self.ctx, &mut self.sessions, frame.session, busy)?;
         let sess = self.sessions.get_mut(frame.session)?;
         sess.stats.requests = sess.stats.requests.saturating_add(1);
+        self.keys.touch(&mut sess.keys);
         self.queue.push_back(Pending {
             session: frame.session,
             request: frame.request,
@@ -560,52 +578,17 @@ impl<'a> HeaxServer<'a> {
         self.queue.len()
     }
 
-    /// Requests currently queued for one session — the in-flight count
-    /// a transport-layer key cache must consult before evicting that
-    /// session's keys (an evicted session with queued work would fail
-    /// its own batch).
-    pub fn queued_for(&self, session: u64) -> usize {
-        self.queue.iter().filter(|p| p.session == session).count()
+    /// Overrides the resident-key byte budget (the socket runtime's
+    /// nonzero `NetConfig::key_cache_budget`).
+    pub(crate) fn set_key_budget(&mut self, budget: u64) {
+        self.keys
+            .set_budget(&mut self.sessions, budget, queued(&self.queue));
     }
 
-    /// Drops a session's cached (Shoup-ready) evaluation keys to free
-    /// modeled DRAM, leaving the session itself open. The next key
-    /// registration for this session is billed as a re-registration
-    /// ([`ServerStats::key_reregistrations`]); the eviction itself
-    /// increments [`ServerStats::key_evictions`] only when there was
-    /// key material to drop.
-    ///
-    /// Callers (the [`crate::net`] session-key LRU) must not evict a
-    /// session with queued requests — check
-    /// [`HeaxServer::queued_for`] first; this method does not second-
-    /// guess the cache policy.
-    ///
-    /// # Errors
-    ///
-    /// [`ServerError::UnknownSession`] for ids never opened or already
-    /// closed.
-    pub fn evict_session_keys(&mut self, session: u64) -> Result<(), ServerError> {
-        let sess = self.sessions.get_mut(session)?;
-        if sess.rlk.is_some() || sess.gks.is_some() {
-            sess.rlk = None;
-            sess.gks = None;
-            sess.keys_evicted = true;
-            self.metrics.key_evictions = self.metrics.key_evictions.saturating_add(1);
-        }
-        Ok(())
-    }
-
-    /// Bills a key registration: a first upload is free, a re-upload
-    /// after [`HeaxServer::evict_session_keys`] counts as a
-    /// re-registration.
-    fn note_key_registration(&mut self, session: u64) {
-        if let Ok(sess) = self.sessions.get_mut(session) {
-            if sess.keys_evicted {
-                sess.keys_evicted = false;
-                self.metrics.key_reregistrations =
-                    self.metrics.key_reregistrations.saturating_add(1);
-            }
-        }
+    /// Key evictions and rehydrations so far, without the cost of a
+    /// full [`HeaxServer::stats`] snapshot.
+    pub(crate) fn key_counters(&self) -> (u64, u64) {
+        (self.keys.evictions(), self.keys.rehydrations())
     }
 
     /// Lowers the currently queued requests into the shared op-stream
@@ -952,16 +935,16 @@ impl<'a> HeaxServer<'a> {
             }
             OpCode::MultiplyRelin => {
                 let b = self.resolve(it.session, &it.operands[1])?;
-                let rlk = self.sessions.get(it.session)?.relin_key()?;
+                let rlk = self.sessions.get(it.session)?.keys.relin_key()?;
                 Ok(self.eval.multiply_relin(a, b, rlk)?)
             }
             OpCode::SquareRelin => {
-                let rlk = self.sessions.get(it.session)?.relin_key()?;
+                let rlk = self.sessions.get(it.session)?.keys.relin_key()?;
                 Ok(self.eval.multiply_relin(a, a, rlk)?)
             }
             OpCode::Rescale => Ok(self.eval.rescale(a)?),
             OpCode::Rotate => {
-                let gks = self.sessions.get(it.session)?.galois_keys(it.step)?;
+                let gks = self.sessions.get(it.session)?.keys.galois_keys(it.step)?;
                 Ok(self.eval.rotate(a, it.step, gks)?)
             }
             OpCode::Fetch => Ok(a.clone()),
@@ -988,7 +971,7 @@ impl<'a> HeaxServer<'a> {
             Ok(s) => s,
             Err(e) => return fail_all(results, &e),
         };
-        let gks = match sess.galois_keys(first.step) {
+        let gks = match sess.keys.galois_keys(first.step) {
             Ok(g) => g,
             Err(e) => return fail_all(results, &e),
         };
@@ -1079,8 +1062,8 @@ impl<'a> HeaxServer<'a> {
             shed_requests: self.metrics.shed_requests,
             degraded_replies: self.metrics.degraded_replies,
             retries: self.metrics.retries,
-            key_evictions: self.metrics.key_evictions,
-            key_reregistrations: self.metrics.key_reregistrations,
+            key_evictions: self.keys.evictions(),
+            key_reregistrations: self.keys.rehydrations(),
             parked_entries: self.system.mapped_entries(),
             parked_bytes: self.system.dram_used_bytes(),
             per_op: self.metrics.per_op_snapshot(),
@@ -1194,8 +1177,207 @@ fn encode_error_frame(version: u8, session: u64, request: u64, e: &ServerError, 
     wire::encode_frame_into(version, MessageKind::Error, session, request, &payload, out);
 }
 
+/// Whether a session has requests in `queue` — the sessions the key
+/// store must never evict.
+fn queued(queue: &VecDeque<Pending>) -> impl Fn(u64) -> bool + '_ {
+    move |session| queue.iter().any(|p| p.session == session)
+}
+
 /// Session-scoped park handle, so sessions can never read or clobber
 /// each other's DRAM-resident results.
 fn scoped(session: u64, name: &str) -> String {
     format!("s{session}/{name}")
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::{HashMap, HashSet};
+
+    use heax_ckks::serialize::{serialize_ciphertext, serialize_galois_keys, serialize_relin_key};
+    use heax_ckks::{CkksEncoder, Encryptor, PublicKey, SecretKey};
+    use heax_hw::keyswitch_pipeline::KeySwitchArch;
+    use heax_hw::mult_dataflow::MultModuleConfig;
+    use heax_hw::ntt_dataflow::NttModuleConfig;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    use super::*;
+    use crate::error::ErrorCode;
+    use crate::keys::tests::{client_keys, ctx};
+    use crate::wire::client::{self, Reply};
+    use crate::wire::Request;
+
+    fn system(ctx: &CkksContext) -> HeaxSystem<'_> {
+        let accel = HeaxAccelerator::with_arch(
+            ctx,
+            Board::stratix10(),
+            KeySwitchArch {
+                n: 64,
+                k: 3,
+                nc_intt0: 4,
+                m0: 2,
+                nc_ntt0: 4,
+                num_dyad: 3,
+                nc_dyad: 4,
+                nc_intt1: 2,
+                nc_ntt1: 4,
+                nc_ms: 2,
+            },
+            NttModuleConfig::new(64, 4).unwrap(),
+            MultModuleConfig::new(64, 8).unwrap(),
+        )
+        .unwrap();
+        HeaxSystem::new(accel)
+    }
+
+    fn parse(frame: &[u8]) -> Reply {
+        client::parse_reply(frame).unwrap().2
+    }
+
+    fn is_error(reply: &Reply, want: ErrorCode) -> bool {
+        matches!(reply, Reply::Error { code, .. } if *code == want)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+        /// Model-based check of the engine's key store: random
+        /// interleavings of open, key registration, request, flush and
+        /// close against a reference map of the keys each session
+        /// registered, under a budget of a few keys.
+        #[test]
+        fn key_store_matches_reference_model_under_random_interleavings(
+            half_keys in 1u64..10,
+            ops in prop::collection::vec((0usize..6, 0usize..3, any::<bool>()), 1..48),
+        ) {
+            let c = ctx();
+            let keys: Vec<(Vec<u8>, Vec<u8>)> = (0..3)
+                .map(|i| {
+                    let (rlk, gks) = client_keys(&c, 100 + i);
+                    (serialize_relin_key(&rlk), serialize_galois_keys(&gks))
+                })
+                .collect();
+            let mut rng = StdRng::seed_from_u64(99);
+            let sk = SecretKey::generate(&c, &mut rng);
+            let pk = PublicKey::generate(&c, &sk, &mut rng);
+            let enc = CkksEncoder::new(&c);
+            let pt = enc
+                .encode_real(&[1.0, 2.0], c.params().scale(), c.max_level())
+                .unwrap();
+            let ct = serialize_ciphertext(&Encryptor::new(&c, &pk).encrypt(&pt, &mut rng).unwrap());
+            let key_len = keys[0].0.len().max(keys[0].1.len()) as u64;
+
+            let mut server = HeaxServer::with_system(&c, system(&c));
+            server.set_key_budget(half_keys * key_len / 2);
+            // Reference model: open session per slot, billed key bytes
+            // (relin, galois) each session registered, and the queued
+            // requests as (session, needs the relin key).
+            let mut slots: [Option<u64>; 3] = [None; 3];
+            let mut registered: HashMap<u64, (u64, u64)> = HashMap::new();
+            let mut closed: HashSet<u64> = HashSet::new();
+            let mut queued: Vec<(u64, bool)> = Vec::new();
+            let mut next_request = 1u64;
+
+            // Ops: 0 flush, 1 register relin, 2 register Galois, 3 and 4
+            // request, 5 close; a slot's session opens on first use.
+            for (op, slot, flag) in ops {
+                if slots[slot].is_none() && (1..=4).contains(&op) {
+                    let reply = server.handle_frame(&client::open_session()).unwrap();
+                    slots[slot] = Some(client::parse_reply(&reply).unwrap().0);
+                }
+                match (op, slots[slot]) {
+                    (1 | 2, Some(s)) => {
+                        let (rlk, gks) = &keys[slot];
+                        let (kind, payload) = if op == 1 {
+                            (MessageKind::RegisterRelinKey, rlk)
+                        } else {
+                            (MessageKind::RegisterGaloisKeys, gks)
+                        };
+                        let frame = wire::encode_frame(wire::WIRE_V2, kind, s, 0, payload);
+                        let reply = parse(&server.handle_frame(&frame).unwrap());
+                        if reply == Reply::KeyRegistered {
+                            let billed = registered.entry(s).or_default();
+                            if op == 1 {
+                                billed.0 = rlk.len() as u64;
+                            } else {
+                                billed.1 = gks.len() as u64;
+                            }
+                        } else {
+                            prop_assert!(is_error(&reply, ErrorCode::LoadShed), "{:?}", reply);
+                        }
+                    }
+                    (3 | 4, Some(s)) => {
+                        let frame = if flag {
+                            client::rotate(s, next_request, &ct, 1)
+                        } else {
+                            client::request(s, next_request, &Request {
+                                op: OpCode::SquareRelin,
+                                step: 0,
+                                compress_reply: false,
+                                park_as: None,
+                                operands: vec![WireOperand::Inline(&ct)],
+                            })
+                        };
+                        next_request += 1;
+                        match server.handle_frame(&frame) {
+                            None => queued.push((s, !flag)),
+                            Some(reply) => {
+                                let reply = parse(&reply);
+                                prop_assert!(is_error(&reply, ErrorCode::LoadShed), "{:?}", reply);
+                            }
+                        }
+                    }
+                    (0, _) => {
+                        let replies = server.flush();
+                        prop_assert_eq!(replies.len(), queued.len());
+                        // Every queued request finds every key its
+                        // session registered.
+                        for (frame, (s, needs_rlk)) in replies.iter().zip(queued.drain(..)) {
+                            let reply = parse(frame);
+                            let (rlk, gks) = registered.get(&s).copied().unwrap_or_default();
+                            let has_key = if needs_rlk { rlk > 0 } else { gks > 0 };
+                            if closed.contains(&s) {
+                                prop_assert!(is_error(&reply, ErrorCode::UnknownSession));
+                            } else if has_key {
+                                prop_assert!(
+                                    matches!(reply, Reply::Ciphertext(_)),
+                                    "session {} lost a registered key: {:?}", s, reply
+                                );
+                            } else {
+                                prop_assert!(is_error(&reply, ErrorCode::MissingKey), "{:?}", reply);
+                            }
+                        }
+                    }
+                    (5, Some(s)) => {
+                        let reply = parse(&server.handle_frame(&client::close_session(s)).unwrap());
+                        prop_assert_eq!(reply, Reply::SessionClosed);
+                        registered.remove(&s);
+                        closed.insert(s);
+                        slots[slot] = None;
+                    }
+                    _ => {}
+                }
+                let store = &server.keys;
+                let residency =
+                    |s: u64| server.sessions.get(s).ok().and_then(|x| x.keys.residency());
+                // The budget is a hard bound.
+                prop_assert!(store.resident_bytes() <= store.budget());
+                // No session with a queued request is evicted.
+                for &(s, _) in &queued {
+                    prop_assert!(residency(s) != Some(false), "queued session {} evicted", s);
+                }
+                // Each registered session's keys are held (once), and
+                // billing is the sum of the resident sessions' sizes.
+                let mut billed = 0;
+                for (&s, &(rlk, gks)) in &registered {
+                    match residency(s) {
+                        Some(true) => billed += rlk + gks,
+                        Some(false) => {}
+                        None => prop_assert!(false, "session {} lost its keys", s),
+                    }
+                }
+                prop_assert_eq!(billed, store.resident_bytes(), "billing drift");
+            }
+        }
+    }
 }

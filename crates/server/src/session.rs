@@ -1,59 +1,25 @@
-//! Session registry: per-client key material cached server-side.
-//!
-//! Deserializing an evaluation key is expensive — beyond parsing, the
-//! Shoup (`MulRedConstant`) multiplication tables are rebuilt from the
-//! residues ([`heax_ckks::serialize::deserialize_ksk`]). The registry
-//! makes that a **once-per-session** cost: clients upload keys when they
-//! connect, and every later request hits the cached, Shoup-ready keys.
-//! The seed deployment example paid that cost per request batch; the
-//! `bench_server` snapshot quantifies the difference.
+//! Session registry: per-client evaluation keys, parked-handle
+//! ownership and traffic counters. The keys are managed by the engine's
+//! key store (`keys.rs`) under the modeled-DRAM key budget; the session
+//! record only carries them.
 
 use std::collections::HashMap;
 
-use heax_ckks::{GaloisKeys, RelinKey};
-
 use crate::error::ServerError;
+use crate::keys::SessionKeys;
 use crate::metrics::SessionStats;
 
-/// Per-session server state: cached keys, parked-handle ownership, and
-/// traffic counters.
+/// Per-session server state: evaluation keys, parked-handle ownership
+/// and traffic counters.
 #[derive(Debug, Default)]
 pub struct Session {
-    /// Cached relinearization key (Shoup tables rebuilt at registration).
-    pub(crate) rlk: Option<RelinKey>,
-    /// Cached Galois keys (permutation tables rebuilt at registration).
-    pub(crate) gks: Option<GaloisKeys>,
+    /// Evaluation keys, resident or evicted (changed only by the key
+    /// store).
+    pub(crate) keys: SessionKeys,
     /// Unscoped names of results this session parked in board DRAM.
     pub(crate) parked: Vec<String>,
-    /// Whether this session's cached keys were evicted under DRAM
-    /// pressure (see `HeaxServer::evict_session_keys`): the next key
-    /// registration is billed as a re-registration, not a first upload.
-    pub(crate) keys_evicted: bool,
     /// Per-session traffic counters.
     pub(crate) stats: SessionStats,
-}
-
-impl Session {
-    /// The session's Galois keys.
-    ///
-    /// # Errors
-    ///
-    /// [`ServerError::MissingGaloisKey`] (with the offending step) when
-    /// none were registered.
-    pub(crate) fn galois_keys(&self, step: i64) -> Result<&GaloisKeys, ServerError> {
-        self.gks
-            .as_ref()
-            .ok_or(ServerError::MissingGaloisKey { step })
-    }
-
-    /// The session's relinearization key.
-    ///
-    /// # Errors
-    ///
-    /// [`ServerError::MissingRelinKey`] when none was registered.
-    pub(crate) fn relin_key(&self) -> Result<&RelinKey, ServerError> {
-        self.rlk.as_ref().ok_or(ServerError::MissingRelinKey)
-    }
 }
 
 /// The registry of live sessions.
@@ -155,9 +121,12 @@ mod tests {
     fn missing_keys_are_structured_errors() {
         let s = Session::default();
         assert!(matches!(
-            s.galois_keys(4),
+            s.keys.galois_keys(4),
             Err(ServerError::MissingGaloisKey { step: 4 })
         ));
-        assert!(matches!(s.relin_key(), Err(ServerError::MissingRelinKey)));
+        assert!(matches!(
+            s.keys.relin_key(),
+            Err(ServerError::MissingRelinKey)
+        ));
     }
 }

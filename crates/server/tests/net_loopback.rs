@@ -17,10 +17,12 @@ use std::collections::BTreeMap;
 use std::io::Write;
 use std::net::TcpStream;
 
-use heax_ckks::serialize::{deserialize_ciphertext, serialize_ciphertext, serialize_galois_keys};
+use heax_ckks::serialize::{
+    deserialize_ciphertext, serialize_ciphertext, serialize_galois_keys, serialize_relin_key,
+};
 use heax_ckks::{
     Ciphertext, CkksContext, CkksEncoder, CkksParams, Decryptor, Encryptor, GaloisKeys, PublicKey,
-    SecretKey,
+    RelinKey, SecretKey,
 };
 use heax_core::{HeaxAccelerator, HeaxSystem};
 use heax_hw::board::Board;
@@ -593,11 +595,11 @@ fn stalled_reader_is_dropped_without_disturbing_cotenants() {
     assert_eq!(net.server_mut().stats().parked_entries, 1);
 }
 
-/// The DRAM-budgeted key LRU over real sockets: with room for only one
-/// resident session, two sessions alternating rotations force
-/// evict/restore cycles — every reply still decrypt-verifies, repeat
-/// requests are byte-identical across an evict/restore cycle, and the
-/// eviction/re-registration traffic is billed in both stats layers.
+/// The engine's DRAM-budgeted key LRU over real sockets: with room for
+/// only one resident session, two sessions alternating rotations force
+/// evict/rehydrate cycles — every reply still decrypt-verifies, repeat
+/// requests are byte-identical across an evict/rehydrate cycle, and
+/// the eviction/rehydration traffic shows in both stats layers.
 #[test]
 fn session_key_lru_evicts_and_restores_over_sockets() {
     let c = ctx();
@@ -623,14 +625,13 @@ fn session_key_lru_evicts_and_restores_over_sockets() {
     let sa = conn_a.open_session(&mut net);
     let sb = conn_b.open_session(&mut net);
     conn_a.roundtrip(&mut net, &client::register_galois_keys(sa, &gks_a));
-    assert!(net.key_cache().is_resident(sa));
+    assert_eq!(net.stats().key_evictions, 0);
     conn_b.roundtrip(&mut net, &client::register_galois_keys(sb, &gks_b));
-    assert!(net.key_cache().is_resident(sb));
-    assert!(!net.key_cache().is_resident(sa), "B's upload evicted A");
+    assert_eq!(net.stats().key_evictions, 1, "B's upload evicted A");
 
     let ct_a = serialize_ciphertext(&ca.ct);
     let ct_b = serialize_ciphertext(&cb.ct);
-    // A's request restores A (evicting B); B's request restores B.
+    // A's request rehydrates A (evicting B); B's request rehydrates B.
     // Repeating request id 100 after a full evict/restore cycle must
     // reproduce the reply byte for byte — the restored keys are the
     // same key material, Shoup tables and all.
@@ -647,10 +648,15 @@ fn session_key_lru_evicts_and_restores_over_sockets() {
         conn.replies.last().unwrap().clone()
     };
     let first = round(&mut net, &mut conn_a, sa, 100, &ct_a);
-    assert!(net.key_cache().is_resident(sa));
-    assert!(!net.key_cache().is_resident(sb));
+    assert_eq!(
+        (net.stats().key_evictions, net.stats().key_restores),
+        (2, 1)
+    );
     let b_reply = round(&mut net, &mut conn_b, sb, 200, &ct_b);
-    assert!(net.key_cache().is_resident(sb));
+    assert_eq!(
+        (net.stats().key_evictions, net.stats().key_restores),
+        (3, 2)
+    );
     let second = round(&mut net, &mut conn_a, sa, 100, &ct_a);
     assert_eq!(first, second, "evict/restore must be bit-transparent");
 
@@ -659,16 +665,184 @@ fn session_key_lru_evicts_and_restores_over_sockets() {
     let rotated_b = expect_ciphertext(&c, &b_reply);
     assert_rotated(&cb.vals, &decrypt(&c, &cb.sk, &rotated_b), 1);
 
+    // One count, read through either layer.
     let net_stats = net.stats();
-    assert!(net_stats.key_evictions >= 3);
-    assert!(net_stats.key_restores >= 3);
+    assert_eq!((net_stats.key_evictions, net_stats.key_restores), (4, 3));
     let inner = net.server_mut().stats();
-    assert!(inner.key_evictions >= 3);
-    assert!(inner.key_reregistrations >= 3);
-    assert!(
-        net.key_cache().resident_bytes() <= net.key_cache().budget(),
-        "the DRAM budget is a hard bound"
+    assert_eq!(inner.key_evictions, net_stats.key_evictions);
+    assert_eq!(inner.key_reregistrations, net_stats.key_restores);
+}
+
+/// Sends one frame over a socket and feeds it to the in-process
+/// mirror, collecting the mirror's immediate reply.
+fn send_mirrored(
+    net: &mut NetServer<'_>,
+    mirror: &mut HeaxServer<'_>,
+    mirror_replies: &mut Vec<Vec<u8>>,
+    conn: &mut Conn,
+    frame: &[u8],
+) {
+    let want = conn.replies.len() + 1;
+    conn.send_chunked(net, frame, 4096);
+    if let Some(reply) = mirror.handle_frame(frame) {
+        mirror_replies.push(reply);
+        conn.recv_until(net, want);
+    }
+}
+
+/// Regression: a session evicted under budget pressure that re-uploads
+/// only its relin key gets its Galois keys back too. A's `Rotate` after
+/// the partial re-registration is byte-identical to an unbudgeted
+/// in-process server's reply (a transport-side key cache once marked A
+/// resident here while the engine held only the relin key, answering
+/// `MissingKey`).
+#[test]
+fn partial_reregistration_after_eviction_restores_every_key() {
+    let c = ctx();
+    let ca = client(&c, 14, &[1]);
+    let cb = client(&c, 15, &[1]);
+    let rlk_a = serialize_relin_key(&RelinKey::generate(
+        &c,
+        &ca.sk,
+        &mut StdRng::seed_from_u64(114),
+    ));
+    let gks_a = serialize_galois_keys(&ca.gks);
+    let gks_b = serialize_galois_keys(&cb.gks);
+    // A's two keys fit; A's and B's three do not.
+    let config = NetConfig {
+        key_cache_budget: gks_a.len() as u64 * 5 / 2,
+        ..manual_flush()
+    };
+    let mut net = NetServer::bind(
+        "127.0.0.1:0",
+        HeaxServer::with_system(&c, system(&c)),
+        config,
+    )
+    .unwrap();
+    let mut mirror = HeaxServer::with_system(&c, system(&c));
+    let mut mirror_replies = Vec::new();
+    let mut conn_a = Conn::connect(&mut net);
+    let mut conn_b = Conn::connect(&mut net);
+    let open = client::open_session();
+    send_mirrored(
+        &mut net,
+        &mut mirror,
+        &mut mirror_replies,
+        &mut conn_a,
+        &open,
     );
+    send_mirrored(
+        &mut net,
+        &mut mirror,
+        &mut mirror_replies,
+        &mut conn_b,
+        &open,
+    );
+    let (sa, _, _) = client::parse_reply(&conn_a.replies[0]).unwrap();
+    let (sb, _, _) = client::parse_reply(&conn_b.replies[0]).unwrap();
+
+    for (to_a, frame) in [
+        (true, client::register_relin_key(sa, &rlk_a)),
+        (true, client::register_galois_keys(sa, &gks_a)),
+        (false, client::register_galois_keys(sb, &gks_b)),
+        (true, client::register_relin_key(sa, &rlk_a)),
+        (
+            true,
+            client::rotate(sa, 10, &serialize_ciphertext(&ca.ct), 1),
+        ),
+    ] {
+        let conn = if to_a { &mut conn_a } else { &mut conn_b };
+        send_mirrored(&mut net, &mut mirror, &mut mirror_replies, conn, &frame);
+    }
+    assert_eq!(net.stats().key_evictions, 2, "B evicted A, A evicted B");
+    mirror_replies.extend(mirror.flush());
+    net.flush_now();
+    conn_a.recv_until(&mut net, 5);
+
+    let mut socket_side = conn_a.replies.clone();
+    socket_side.extend(conn_b.replies.clone());
+    socket_side.sort();
+    mirror_replies.sort();
+    assert_eq!(socket_side, mirror_replies);
+    let rotated = expect_ciphertext(&c, &conn_a.replies[4]);
+    assert_rotated(&ca.vals, &decrypt(&c, &ca.sk, &rotated), 1);
+}
+
+/// Regression: a request queued before its session registered keys
+/// still protects that session from eviction. B's upload is shed
+/// instead of evicting A under the queued `Rotate`, and A's flushed
+/// reply is byte-identical to an unbudgeted in-process server's (a
+/// transport-side key cache once evicted A here, answering
+/// `MissingKey`).
+#[test]
+fn request_queued_before_its_keys_protects_them_from_eviction() {
+    let c = ctx();
+    let ca = client(&c, 16, &[1]);
+    let cb = client(&c, 17, &[1]);
+    let gks_a = serialize_galois_keys(&ca.gks);
+    let gks_b = serialize_galois_keys(&cb.gks);
+    // One session's Galois keys fit, two do not.
+    let config = NetConfig {
+        key_cache_budget: gks_a.len() as u64 * 3 / 2,
+        ..manual_flush()
+    };
+    let mut net = NetServer::bind(
+        "127.0.0.1:0",
+        HeaxServer::with_system(&c, system(&c)),
+        config,
+    )
+    .unwrap();
+    let mut mirror = HeaxServer::with_system(&c, system(&c));
+    let mut mirror_replies = Vec::new();
+    let mut conn_a = Conn::connect(&mut net);
+    let mut conn_b = Conn::connect(&mut net);
+    let open = client::open_session();
+    send_mirrored(
+        &mut net,
+        &mut mirror,
+        &mut mirror_replies,
+        &mut conn_a,
+        &open,
+    );
+    send_mirrored(
+        &mut net,
+        &mut mirror,
+        &mut mirror_replies,
+        &mut conn_b,
+        &open,
+    );
+    let (sa, _, _) = client::parse_reply(&conn_a.replies[0]).unwrap();
+    let (sb, _, _) = client::parse_reply(&conn_b.replies[0]).unwrap();
+
+    let rotate = client::rotate(sa, 10, &serialize_ciphertext(&ca.ct), 1);
+    for (to_a, frame) in [
+        (true, rotate),
+        (true, client::register_galois_keys(sa, &gks_a)),
+    ] {
+        let conn = if to_a { &mut conn_a } else { &mut conn_b };
+        send_mirrored(&mut net, &mut mirror, &mut mirror_replies, conn, &frame);
+    }
+    // B's upload needs A's room, and A has a request queued.
+    let register_b = client::register_galois_keys(sb, &gks_b);
+    conn_b.roundtrip(&mut net, &register_b);
+    assert!(mirror.handle_frame(&register_b).is_some());
+
+    let mirror_flushed = mirror.flush();
+    net.flush_now();
+    conn_a.recv_until(&mut net, 3);
+    assert_eq!(conn_a.replies[2], mirror_flushed[0]);
+    let rotated = expect_ciphertext(&c, &conn_a.replies[2]);
+    assert_rotated(&ca.vals, &decrypt(&c, &ca.sk, &rotated), 1);
+    // The budget could not hold both sessions, so B's upload was shed
+    // rather than evicting A.
+    let (_, _, parsed) = client::parse_reply(&conn_b.replies[1]).unwrap();
+    assert!(matches!(parsed, Reply::Error { code, .. } if code == ErrorCode::LoadShed));
+    assert_eq!(net.stats().key_evictions, 0);
+
+    // Once A's batch has drained, B's retried upload evicts it.
+    let (_, _, parsed) = client::parse_reply(&conn_b.roundtrip(&mut net, &register_b)).unwrap();
+    assert_eq!(parsed, Reply::KeyRegistered);
+    assert_eq!(net.stats().key_evictions, 1);
 }
 
 /// Satellite 2 — chaos: a seeded [`FaultPlan`] (modeled board crash
